@@ -109,8 +109,8 @@ func TestEvalScalarSemantics(t *testing.T) {
 		want value.Value
 	}{
 		{"a + 1", value.NewInt(8)},
-		{"a / b", value.NullValue()},     // int division by zero -> null
-		{"a / 2", value.NewInt(3)},       // truncating
+		{"a / b", value.NullValue()},           // int division by zero -> null
+		{"a / 2", value.NewInt(3)},             // truncating
 		{"x / y", value.NewFloat(math.Inf(1))}, // IEEE float division
 		{"a * x", value.NewFloat(10.5)},
 	}
@@ -220,8 +220,8 @@ func TestCompiledExprMatchesScalar(t *testing.T) {
 	}
 	sels := [][]int32{
 		nil,
-		{},            // empty selection
-		{0, 64, 255},  // sparse
+		{},           // empty selection
+		{0, 64, 255}, // sparse
 	}
 	var half []int32
 	for i := int32(0); i < n; i += 2 {

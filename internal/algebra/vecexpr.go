@@ -19,12 +19,12 @@ import (
 type exprOp uint8
 
 const (
-	opLoadInt   exprOp = iota // push int column (gathered through sel)
-	opLoadFloat               // push float column
-	opConstInt                // push int literal (broadcast)
-	opConstFloat              // push float literal
-	opI2F                     // widen top register int -> float
-	opAddI                    // pop 2 ints, push int
+	opLoadInt    exprOp = iota // push int column (gathered through sel)
+	opLoadFloat                // push float column
+	opConstInt                 // push int literal (broadcast)
+	opConstFloat               // push float literal
+	opI2F                      // widen top register int -> float
+	opAddI                     // pop 2 ints, push int
 	opSubI
 	opMulI
 	opDivI // x/0 -> null; MinInt64 / -1 -> MinInt64

@@ -31,6 +31,11 @@ import (
 // shard is pinned; scan paths degrade to uncached reads instead of failing.
 var errShardPinned = errors.New("all frames in shard pinned")
 
+// errStaleFrame marks a hit on a frame whose page was freed while a reader
+// still pinned it: the cached bytes may predate a rewrite of the page, so
+// the access is served from the pager instead.
+var errStaleFrame = errors.New("frame of a freed page still pinned")
+
 // Stats counts pool activity, aggregated over all shards. Bypassed and
 // Admitted account the scan-resistant lane (see scanread.go): pages a
 // coalesced scan read pulled around the CLOCK ring, and pages that ghost
@@ -51,6 +56,10 @@ type frame struct {
 	dirty    bool
 	refbit   bool // CLOCK second-chance bit
 	occupied bool
+	// stale marks a frame whose page was freed (DropExtent) while pinned
+	// or in flight: it serves no new accesses and leaves the pool at its
+	// last unpin.
+	stale bool
 	// pending is non-nil while the frame's disk read is in flight: the
 	// frame is claimed (pinned, indexed) before the shard lock drops, so a
 	// concurrent write+evict of the same page can never race a stale copy
@@ -160,6 +169,10 @@ func (p *Pool) Lease(id pager.PageID) (Lease, error) {
 				<-ch // another goroutine's read is in flight
 				continue
 			}
+			if f.stale {
+				sh.mu.Unlock()
+				return Lease{}, errStaleFrame
+			}
 			sh.hits.Add(1)
 			f.pins++
 			f.refbit = true
@@ -243,6 +256,10 @@ func (p *Pool) GetForWrite(id pager.PageID) ([]byte, error) {
 				sh.mu.Unlock()
 				<-ch // wait for the in-flight read before overwriting
 				continue
+			}
+			if f.stale {
+				sh.mu.Unlock()
+				return nil, errStaleFrame
 			}
 			f.pins++
 			f.refbit = true
@@ -328,6 +345,10 @@ func (sh *shard) unpin(id pager.PageID) error {
 		return fmt.Errorf("buffer: Unpin on unpinned page %d", id)
 	}
 	sh.frames[fi].pins--
+	if sh.frames[fi].pins == 0 && sh.frames[fi].stale {
+		delete(sh.index, id)
+		sh.frames[fi] = frame{}
+	}
 	return nil
 }
 
@@ -385,6 +406,30 @@ func (p *Pool) Invalidate() error {
 	return nil
 }
 
+// DropExtent forgets the n pages starting at start: their frames (dirty
+// ones discarded — the pages are being freed) and their ghost entries. The
+// engine calls it when it frees an extent, before the pages can be
+// reallocated and rewritten behind the pool. A frame still pinned by a
+// reader (or in flight) is marked stale instead: new accesses bypass it and
+// it leaves the pool at its last unpin.
+func (p *Pool) DropExtent(start pager.PageID, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		id := start + pager.PageID(i)
+		sh := p.shardOf(id)
+		sh.mu.Lock()
+		if fi, ok := sh.index[id]; ok {
+			if f := &sh.frames[fi]; f.pins > 0 || f.pending != nil {
+				f.stale = true
+			} else {
+				delete(sh.index, id)
+				*f = frame{}
+			}
+		}
+		delete(sh.ghostIdx, id) // its ring slot becomes a harmless tombstone
+		sh.mu.Unlock()
+	}
+}
+
 // Resident reports whether page id is cached (for tests).
 func (p *Pool) Resident(id pager.PageID) bool {
 	sh := p.shardOf(id)
@@ -421,7 +466,7 @@ func (p *Pool) LeasePage(id pager.PageID) ([]byte, func() error, error) {
 	if err == nil {
 		return l.data, l.Release, nil
 	}
-	if !errors.Is(err, errShardPinned) {
+	if !errors.Is(err, errShardPinned) && !errors.Is(err, errStaleFrame) {
 		return nil, nil, err
 	}
 	data, err := p.file.ReadPage(id)

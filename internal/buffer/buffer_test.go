@@ -225,3 +225,53 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Errorf("accounting mismatch: %+v", s)
 	}
 }
+
+// TestDropExtentForgetsFreedPages checks that a dropped extent's frames and
+// ghost entries are gone (the next read sees the rewritten page), and that
+// a frame pinned at drop time stops serving hits and leaves at its last
+// unpin.
+func TestDropExtentForgetsFreedPages(t *testing.T) {
+	p, f, start := newPoolT(t, 8, 4)
+	for i := 0; i < 3; i++ {
+		data, release, err := p.LeasePage(start + pager.PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 2 {
+			release()
+		} else {
+			defer func() {
+				release()
+				if p.Resident(start + 2) {
+					t.Error("stale frame outlived its last unpin")
+				}
+			}()
+			if data[0] != 2 {
+				t.Fatalf("page 2 read %d", data[0])
+			}
+		}
+	}
+	p.shardOf(start+3).noteScanPage(f, start+3, []byte{3}) // ghost entry
+	p.DropExtent(start, 4)
+	for i := 0; i < 4; i++ {
+		if err := f.WritePage(start+pager.PageID(i), []byte{byte(100 + i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.Resident(start) || p.Resident(start+1) {
+		t.Error("unpinned frames survived DropExtent")
+	}
+	if p.shardOf(start + 3).ghostIdx[start+3] {
+		t.Error("ghost entry survived DropExtent")
+	}
+	for i := 0; i < 3; i++ {
+		data, release, err := p.LeasePage(start + pager.PageID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[0] != byte(100+i) {
+			t.Errorf("page %d served stale byte %d after DropExtent", i, data[0])
+		}
+		release()
+	}
+}

@@ -347,12 +347,14 @@ func (BitPack) Encode(dst []byte, k value.Kind, vals []value.Value) ([]byte, err
 	if len(vals) == 0 {
 		return dst, nil
 	}
-	lo, hi := vals[0].Int(), vals[0].Int()
-	for _, v := range vals {
+	var lo, hi int64
+	for i, v := range vals {
 		if v.IsNull() {
 			return nil, fmt.Errorf("compress: null value in bitpack block")
 		}
-		if x := v.Int(); x < lo {
+		if x := v.Int(); i == 0 {
+			lo, hi = x, x
+		} else if x < lo {
 			lo = x
 		} else if x > hi {
 			hi = x

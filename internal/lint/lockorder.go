@@ -17,9 +17,13 @@ type LockClass struct {
 }
 
 // DefaultLockOrder is the machine-readable form of the hierarchy documented
-// in DESIGN.md: catalog → table engine → merge registry → merge queue →
-// free queue → buffer shard → pager. Edit this table and DESIGN.md
-// together.
+// in DESIGN.md: table lock → catalog → table engine → merge registry →
+// merge queue → free queue → buffer shard → pager. Edit this table and
+// DESIGN.md together.
+//
+// The table lock is the engine-owned per-table RW lock that stands in for
+// the transaction manager's table locks when an engine has none; every
+// engine operation takes it first, before reading the catalog.
 //
 // The three compaction-worker classes sit between the engine's compile
 // cache and the buffer/pager layers: the merge registry (Engine.mergeMu)
@@ -29,6 +33,7 @@ type LockClass struct {
 // two out of order, and all must be released before descending into the
 // pager.
 var DefaultLockOrder = []LockClass{
+	{Path: "rodentstore/internal/table", Type: "tableLock", Field: "mu", Name: "table-lock", Level: 5},
 	{Path: "rodentstore/internal/catalog", Type: "Catalog", Field: "mu", Name: "catalog", Level: 10},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mu", Name: "table-engine", Level: 20},
 	{Path: "rodentstore/internal/table", Type: "Engine", Field: "mergeMu", Name: "merge-registry", Level: 22},

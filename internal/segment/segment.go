@@ -24,6 +24,7 @@ import (
 	"rodentstore/internal/compress"
 	"rodentstore/internal/pager"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 // DefaultRowsPerBlock bounds block size for non-grid segments.
@@ -110,79 +111,85 @@ func NewWriter(file *pager.File, spec Spec) (*Writer, error) {
 	return &Writer{file: file, spec: spec, codecs: codecs}, nil
 }
 
-// WriteBlock appends one block of rows belonging to the given cell
-// (NoCell for ungridded segments). Rows must match the spec's fields.
-func (w *Writer) WriteBlock(cell uint64, rows []value.Row) error {
-	if len(rows) == 0 {
+// WriteBatch appends rows [lo, hi) of the column vectors cols (parallel to
+// the spec's fields) as one block belonging to the given cell (NoCell for
+// ungridded segments). Column chunks are encoded straight from the typed
+// vectors (compress.EncodeVec), and the block's zone maps — min/max of each
+// Int/Float field, omitted for a field with a null in the block — come from
+// the same typed slices. An empty range writes nothing.
+func (w *Writer) WriteBatch(cell uint64, cols []*vec.Vector, lo, hi int) error {
+	if hi <= lo {
 		return nil
 	}
-	ncols := len(w.spec.Fields)
-	cols := make([][]value.Value, ncols)
-	for c := range cols {
-		col := make([]value.Value, len(rows))
-		for r, row := range rows {
-			if len(row) != ncols {
-				return fmt.Errorf("segment: row arity %d != %d fields", len(row), ncols)
-			}
-			col[r] = row[c]
-		}
-		cols[c] = col
+	if len(cols) != len(w.spec.Fields) {
+		return fmt.Errorf("segment: %d columns for %d fields", len(cols), len(w.spec.Fields))
 	}
-
-	body := make([]byte, 0, len(rows)*16)
-	body = binary.LittleEndian.AppendUint64(body, cell)
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-	for c, col := range cols {
-		chunk, err := w.codecs[c].Encode(nil, w.spec.Fields[c].Type, col)
+	mark := len(w.buf)
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, 0) // body length, patched below
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, cell)
+	w.buf = binary.AppendUvarint(w.buf, uint64(hi-lo))
+	var zones []ZoneMap
+	for c, f := range w.spec.Fields {
+		col := cols[c]
+		if col.Kind() != f.Type || col.Len() < hi {
+			w.buf = w.buf[:mark]
+			return fmt.Errorf("segment: field %q: %d-row %s column for rows [%d,%d)", f.Name, col.Len(), col.Kind(), lo, hi)
+		}
+		at := len(w.buf)
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, 0) // chunk length
+		var err error
+		w.buf, err = compress.EncodeVec(w.codecs[c], w.buf, f.Type, col, lo, hi)
 		if err != nil {
-			return fmt.Errorf("segment: field %q: %w", w.spec.Fields[c].Name, err)
+			w.buf = w.buf[:mark]
+			return fmt.Errorf("segment: field %q: %w", f.Name, err)
 		}
-		body = binary.LittleEndian.AppendUint32(body, uint32(len(chunk)))
-		body = append(body, chunk...)
+		binary.LittleEndian.PutUint32(w.buf[at:], uint32(len(w.buf)-at-4))
+		if z, ok := zoneOf(f, col, lo, hi); ok {
+			zones = append(zones, z)
+		}
 	}
-
-	meta := BlockMeta{
-		Off:      uint64(len(w.buf)),
-		Len:      uint32(4 + len(body)),
-		Rows:     len(rows),
+	binary.LittleEndian.PutUint32(w.buf[mark:], uint32(len(w.buf)-mark-4))
+	w.blocks = append(w.blocks, BlockMeta{
+		Off:      uint64(mark),
+		Len:      uint32(len(w.buf) - mark),
+		Rows:     hi - lo,
 		RowStart: w.rows,
 		Cell:     cell,
-		Zones:    zones(w.spec.Fields, cols),
-	}
-	w.buf = binary.LittleEndian.AppendUint32(w.buf, uint32(len(body)))
-	w.buf = append(w.buf, body...)
-	w.blocks = append(w.blocks, meta)
-	w.rows += int64(len(rows))
+		Zones:    zones,
+	})
+	w.rows += int64(hi - lo)
 	return nil
 }
 
-// zones computes per-numeric-field min/max for a block.
-func zones(fields []value.Field, cols [][]value.Value) []ZoneMap {
-	var out []ZoneMap
-	for c, f := range fields {
-		if f.Type != value.Int && f.Type != value.Float {
-			continue
-		}
-		lo, hi := math.Inf(1), math.Inf(-1)
-		ok := true
-		for _, v := range cols[c] {
-			if v.IsNull() {
-				ok = false
-				break
+// zoneOf computes the min/max of rows [lo, hi) of a numeric field; ok is
+// false for other kinds and for a block with a null. NaNs never move the
+// bounds (every comparison with them is false).
+func zoneOf(f value.Field, col *vec.Vector, lo, hi int) (ZoneMap, bool) {
+	if (f.Type != value.Int && f.Type != value.Float) || col.Nulls.AnyIn(lo, hi) {
+		return ZoneMap{}, false
+	}
+	zmin, zmax := math.Inf(1), math.Inf(-1)
+	if f.Type == value.Int {
+		for _, i := range col.Int64s[lo:hi] {
+			x := float64(i)
+			if x < zmin {
+				zmin = x
 			}
-			x := v.Float()
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
+			if x > zmax {
+				zmax = x
 			}
 		}
-		if ok {
-			out = append(out, ZoneMap{Field: f.Name, Min: lo, Max: hi})
+	} else {
+		for _, x := range col.Float64s[lo:hi] {
+			if x < zmin {
+				zmin = x
+			}
+			if x > zmax {
+				zmax = x
+			}
 		}
 	}
-	return out
+	return ZoneMap{Field: f.Name, Min: zmin, Max: zmax}, true
 }
 
 // Rows returns the number of rows written so far.

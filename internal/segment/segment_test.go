@@ -70,7 +70,7 @@ func TestWriteReadRoundtrip(t *testing.T) {
 		if j > len(rows) {
 			j = len(rows)
 		}
-		if err := w.WriteBlock(NoCell, rows[i:j]); err != nil {
+		if err := writeRows(w, NoCell, rows[i:j]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +116,7 @@ func TestCompressedColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := traceRows(2000)
-	if err := w.WriteBlock(NoCell, rows); err != nil {
+	if err := writeRows(w, NoCell, rows); err != nil {
 		t.Fatal(err)
 	}
 	meta, err := w.Finish()
@@ -126,7 +126,7 @@ func TestCompressedColumns(t *testing.T) {
 
 	// Compare against uncompressed size: codecs must shrink this data.
 	w2, _ := NewWriter(f, traceSpec())
-	w2.WriteBlock(NoCell, rows)
+	writeRows(w2, NoCell, rows)
 	meta2, _ := w2.Finish()
 	if meta.UsedBytes >= meta2.UsedBytes {
 		t.Errorf("compressed %d >= raw %d", meta.UsedBytes, meta2.UsedBytes)
@@ -148,7 +148,7 @@ func TestColumnProjection(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(100)
-	w.WriteBlock(NoCell, rows)
+	writeRows(w, NoCell, rows)
 	meta, _ := w.Finish()
 
 	r, _ := NewReader(f, meta, traceSpec())
@@ -168,8 +168,8 @@ func TestCellsAndZoneMaps(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(100)
-	w.WriteBlock(7, rows[:50])
-	w.WriteBlock(9, rows[50:])
+	writeRows(w, 7, rows[:50])
+	writeRows(w, 9, rows[50:])
 	meta, _ := w.Finish()
 
 	if meta.Blocks[0].Cell != 7 || meta.Blocks[1].Cell != 9 {
@@ -196,7 +196,7 @@ func TestBlockForRow(t *testing.T) {
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(1000)
 	for i := 0; i < 1000; i += 100 {
-		w.WriteBlock(NoCell, rows[i:i+100])
+		writeRows(w, NoCell, rows[i:i+100])
 	}
 	meta, _ := w.Finish()
 	r, _ := NewReader(f, meta, traceSpec())
@@ -228,7 +228,7 @@ func TestSequentialScanCountsPagesOnce(t *testing.T) {
 	w, _ := NewWriter(f, traceSpec())
 	rows := traceRows(5000)
 	for i := 0; i < len(rows); i += 500 {
-		w.WriteBlock(NoCell, rows[i:i+500])
+		writeRows(w, NoCell, rows[i:i+500])
 	}
 	meta, _ := w.Finish()
 	r, _ := NewReader(f, meta, traceSpec())
@@ -251,7 +251,7 @@ func TestSequentialScanCountsPagesOnce(t *testing.T) {
 func TestRowArityMismatch(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
-	if err := w.WriteBlock(NoCell, []value.Row{{value.NewInt(1)}}); err == nil {
+	if err := writeRows(w, NoCell, []value.Row{{value.NewInt(1)}}); err == nil {
 		t.Error("expected arity error")
 	}
 }
@@ -275,7 +275,7 @@ func TestEmptySegment(t *testing.T) {
 func TestWriteBlockEmptyRowsNoop(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
-	if err := w.WriteBlock(NoCell, nil); err != nil {
+	if err := writeRows(w, NoCell, nil); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := w.Finish()
@@ -287,7 +287,7 @@ func TestWriteBlockEmptyRowsNoop(t *testing.T) {
 func TestFreeReturnsExtent(t *testing.T) {
 	f := newFile(t)
 	w, _ := NewWriter(f, traceSpec())
-	w.WriteBlock(NoCell, traceRows(1000))
+	writeRows(w, NoCell, traceRows(1000))
 	meta, _ := w.Finish()
 	before := f.NumPages()
 	if err := Free(f, meta); err != nil {
@@ -316,7 +316,7 @@ func TestFoldedListColumn(t *testing.T) {
 		{value.NewInt(617), value.NewList(value.NewInt(2139), value.NewInt(2142))},
 		{value.NewInt(212), value.NewList(value.NewInt(10001))},
 	}
-	if err := w.WriteBlock(NoCell, rows); err != nil {
+	if err := writeRows(w, NoCell, rows); err != nil {
 		t.Fatal(err)
 	}
 	meta, _ := w.Finish()

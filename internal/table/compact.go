@@ -29,12 +29,9 @@ package table
 // mode, and a checkpoint after the flip drains them.
 
 import (
-	"fmt"
-
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/catalog"
 	"rodentstore/internal/layout"
-	"rodentstore/internal/transforms"
 	"rodentstore/internal/txn"
 )
 
@@ -161,41 +158,22 @@ func (e *Engine) renderRun(tab *catalog.Table, spec *layout.Spec, runs []catalog
 	view.Segments = nil
 	view.Runs = runs
 	view.Tails = tails
-	rows, readSchema, err := e.readAllRows(&view)
+	b, spec, err := e.readForRender(&view, spec)
 	if err != nil {
 		return catalog.RunEntry{}, err
 	}
-	logical, err := tab.Schema()
+	entries, rows, _, err := e.renderSegments(b, spec)
 	if err != nil {
 		return catalog.RunEntry{}, err
 	}
-	if readSchema.String() != logical.String() {
-		// The stored form dropped attributes (e.g. project[lat,lon]); run
-		// the pipeline against what is actually stored, as Reorganize does.
-		spec, err = e.compileAgainst(tab.LayoutExpr, tab.Name, readSchema)
-		if err != nil {
-			return catalog.RunEntry{}, fmt.Errorf("table: compact %q: layout needs attributes the stored form dropped: %w", tab.Name, err)
-		}
-	}
-	rel := transforms.Relation{Schema: readSchema, Rows: rows}
-	rel, err = e.applySteps(rel, spec, false)
-	if err != nil {
-		return catalog.RunEntry{}, err
-	}
-	entries := make([]catalog.SegmentEntry, 0, len(spec.Segments))
 	var bytes uint64
-	for _, def := range spec.Segments {
-		entry, err := e.writeSegment(rel, def, spec.RowsPerBlock, nil)
-		if err != nil {
-			return catalog.RunEntry{}, err
-		}
+	for _, entry := range entries {
 		bytes += entry.Meta.UsedBytes
-		entries = append(entries, entry)
 	}
 	e.statMerges.Add(1)
-	e.statMergeRows.Add(int64(len(rel.Rows)))
+	e.statMergeRows.Add(int64(rows))
 	e.statMergeBytes.Add(int64(bytes))
-	return catalog.RunEntry{Level: level, Rows: int64(len(rel.Rows)), Segments: entries}, nil
+	return catalog.RunEntry{Level: level, Rows: int64(rows), Segments: entries}, nil
 }
 
 // pickFold selects the next fold: the contiguous range runs[lo:hi) to merge

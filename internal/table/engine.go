@@ -12,7 +12,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -24,7 +23,7 @@ import (
 	"rodentstore/internal/transforms"
 	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
-	"rodentstore/internal/zorder"
+	"rodentstore/internal/vec"
 )
 
 // FoldStrategy selects the fold rendering algorithm of §4.2.
@@ -54,6 +53,9 @@ type Engine struct {
 	file  *pager.File
 	cat   *catalog.Catalog
 	locks *txn.Manager
+	// tableLocks holds the per-table *tableLock that withLock falls back to
+	// when there is no lock manager.
+	tableLocks sync.Map
 	// Source is where readers fetch pages: the pager itself (cold, exact
 	// page counts) or a buffer.Pool wrapped around it (warm).
 	Source segment.PageSource
@@ -103,11 +105,12 @@ type Engine struct {
 }
 
 // NewEngine creates an engine over an open page file and catalog. lockMgr
-// may be nil to disable table-level locking (single-threaded use). With a
-// lock manager, the engine hooks the catalog into its checkpoint/recovery
-// protocol: buffered catalog updates flush before every checkpoint, and
-// WAL catalog deltas (durable tail appends) replay during recovery — so
-// create the engine before calling the manager's Recover.
+// may be nil: table locks are then engine-local (no lock timeouts, no
+// checkpoints, no durable inserts). With a lock manager, the engine hooks
+// the catalog into its checkpoint/recovery protocol: buffered catalog
+// updates flush before every checkpoint, and WAL catalog deltas (durable
+// tail appends) replay during recovery — so create the engine before
+// calling the manager's Recover.
 func NewEngine(file *pager.File, cat *catalog.Catalog, lockMgr *txn.Manager) *Engine {
 	e := &Engine{
 		file:        file,
@@ -159,7 +162,7 @@ func (e *Engine) freeStaged() error {
 	e.stagedFrees = nil
 	e.freeMu.Unlock()
 	for i, ext := range staged {
-		if err := e.file.FreeRun(ext.Start, ext.Count); err != nil {
+		if err := e.freeRun(ext); err != nil {
 			// Re-queue what remains: freeing is retried by the next
 			// checkpoint; losing track of it would leak the pages for good.
 			e.freeMu.Lock()
@@ -171,16 +174,25 @@ func (e *Engine) freeStaged() error {
 	return nil
 }
 
+// freeRun returns an extent to the page file, first dropping its pages
+// from a caching page source (the buffer pool): once reallocated, the pages
+// are rewritten straight through the pager, and a cached frame would serve
+// the old bytes.
+func (e *Engine) freeRun(ext pager.Extent) error {
+	if d, ok := e.Source.(interface{ DropExtent(pager.PageID, uint64) }); ok {
+		d.DropExtent(ext.Start, ext.Count)
+	}
+	return e.file.FreeRun(ext.Start, ext.Count)
+}
+
 // freeSegment frees one segment's extent — deferred to the next checkpoint
 // in durable mode, inline otherwise.
 func (e *Engine) freeSegment(meta segment.Meta) error {
-	if meta.ExtentPages == 0 {
+	ext := pager.Extent{Start: meta.ExtentStart, Count: meta.ExtentPages}
+	if ext.Count == 0 || e.deferFree(ext) {
 		return nil
 	}
-	if e.deferFree(pager.Extent{Start: meta.ExtentStart, Count: meta.ExtentPages}) {
-		return nil
-	}
-	return segment.Free(e.file, meta)
+	return e.freeRun(ext)
 }
 
 // checkpointAfterFlip runs right after a catalog update that unreferenced
@@ -195,9 +207,24 @@ func (e *Engine) checkpointAfterFlip() error {
 	return e.locks.Checkpoint()
 }
 
-// withLock takes a table-level lock around fn.
+// tableLock is the engine-owned table lock used without a lock manager.
+// It ranks first in the lock hierarchy: it is taken before the catalog.
+type tableLock struct{ mu sync.RWMutex }
+
+// withLock takes a table-level lock around fn: the lock manager's, or —
+// without one — the engine's own per-table lock, so background merge
+// workers still serialize with inserts and scans of the same table.
 func (e *Engine) withLock(name string, mode txn.LockMode, fn func() error) error {
 	if e.locks == nil {
+		l, _ := e.tableLocks.LoadOrStore(name, &tableLock{})
+		tl := l.(*tableLock)
+		if mode == txn.Exclusive {
+			tl.mu.Lock()
+			defer tl.mu.Unlock()
+		} else {
+			tl.mu.RLock()
+			defer tl.mu.RUnlock()
+		}
 		return fn()
 	}
 	t := e.locks.Begin()
@@ -372,10 +399,18 @@ func (e *Engine) Load(name string, rows []value.Row) error {
 				return fmt.Errorf("table: row %d: %w", i, err)
 			}
 		}
+		b, err := vec.FromRows(schema, rows)
+		if err != nil {
+			return err
+		}
+		spec, err := e.compile(tab.LayoutExpr)
+		if err != nil {
+			return err
+		}
 		// Render into a private copy; Put swaps it in atomically so a
 		// concurrent checkpoint flush never encodes a half-rendered table.
 		work := *tab
-		return e.render(&work, schema, rows)
+		return e.renderWithSpec(&work, b, spec)
 	})
 }
 
@@ -526,9 +561,10 @@ func (e *Engine) snapshotForInsert(name string) (insertSnapshot, error) {
 	return snap, nil
 }
 
-// prepareTail validates rows, runs the per-row pipeline steps (project,
-// select — tails stay unorganized, see applySteps) and encodes the tail's
-// segment blocks into memory. No locks held, no page I/O.
+// prepareTail validates rows, converts them to one batch, runs the per-row
+// pipeline steps (project, select — tails stay unorganized, see
+// applySteps) and encodes the tail's segment blocks into memory. No locks
+// held, no page I/O.
 func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail, error) {
 	for i, r := range rows {
 		if err := snap.schema.Validate(r); err != nil {
@@ -539,14 +575,17 @@ func (e *Engine) prepareTail(snap insertSnapshot, rows []value.Row) (*stagedTail
 	if err != nil {
 		return nil, err
 	}
-	rel := transforms.Relation{Schema: snap.schema, Rows: rows}
-	rel, err = e.applySteps(rel, spec, true)
+	b, err := vec.FromRows(snap.schema, rows)
 	if err != nil {
 		return nil, err
 	}
-	st := &stagedTail{rows: int64(len(rel.Rows))}
+	b, _, _, err = e.applySteps(b, spec, true)
+	if err != nil {
+		return nil, err
+	}
+	st := &stagedTail{rows: int64(b.Len())}
 	for _, def := range spec.Segments {
-		w, err := e.stageSegment(rel, def, spec.RowsPerBlock, nil)
+		w, err := e.stageSegment(b, def, spec.RowsPerBlock, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -705,19 +744,16 @@ func (e *Engine) reorganizeLocked(tab *catalog.Table) error {
 	// copy in atomically.
 	work := *tab
 	tab = &work
-	schema, err := tab.Schema()
-	if err != nil {
-		return err
-	}
 	if tab.NeedsReorg && tab.PendingExpr != "" {
 		tab.LayoutExpr = tab.PendingExpr
 		tab.PendingExpr = ""
 	}
 	tab.NeedsReorg = false
-	// Read everything back in logical (base schema) form. Reorganization
-	// requires the stored representation to retain the full logical schema;
-	// projected layouts reorganize over their final schema instead.
-	rows, readSchema, err := e.readAllRows(tab)
+	spec, err := e.compile(tab.LayoutExpr)
+	if err != nil {
+		return err
+	}
+	b, spec, err := e.readForRender(tab, spec)
 	if err != nil {
 		return err
 	}
@@ -725,12 +761,7 @@ func (e *Engine) reorganizeLocked(tab *catalog.Table) error {
 		return err
 	}
 	old := *tab // snapshot for extent freeing after render
-	if readSchema.String() != schema.String() {
-		// The stored form dropped attributes (e.g. project[lat,lon]); the
-		// new layout is compiled against what is actually stored.
-		return e.renderNarrowed(tab, readSchema, rows, &old)
-	}
-	if err := e.render(tab, schema, rows); err != nil {
+	if err := e.renderWithSpec(tab, b, spec); err != nil {
 		return err
 	}
 	if err := e.freeAll(&old); err != nil {
@@ -757,24 +788,6 @@ func (e *Engine) noteFullMerge(old, now *catalog.Table) {
 	e.statMergeBytes.Add(int64(bytes))
 }
 
-// renderNarrowed handles reorganization of layouts whose stored schema is a
-// projection of the logical one: the pipeline runs against the stored
-// schema, so steps referencing dropped fields fail with a clear error.
-func (e *Engine) renderNarrowed(tab *catalog.Table, stored *value.Schema, rows []value.Row, old *catalog.Table) error {
-	spec, err := e.compileAgainst(tab.LayoutExpr, tab.Name, stored)
-	if err != nil {
-		return fmt.Errorf("table: reorganize %q: layout needs attributes the stored form dropped: %w", tab.Name, err)
-	}
-	if err := e.renderWithSpec(tab, stored, rows, spec); err != nil {
-		return err
-	}
-	if err := e.freeAll(old); err != nil {
-		return err
-	}
-	e.noteFullMerge(old, tab)
-	return e.checkpointAfterFlip()
-}
-
 // compileAgainst compiles exprText treating `name` as having the given
 // schema (bypassing the catalog's logical schema).
 func (e *Engine) compileAgainst(exprText, name string, schema *value.Schema) (*layout.Spec, error) {
@@ -790,56 +803,17 @@ func (e *Engine) compileAgainst(exprText, name string, schema *value.Schema) (*l
 	return layout.Compile(expr, schemas)
 }
 
-// render compiles the table's layout and materializes rows into segments,
-// replacing the catalog entry. It does NOT free old extents (callers that
-// re-render must snapshot and free).
-func (e *Engine) render(tab *catalog.Table, schema *value.Schema, rows []value.Row) error {
-	spec, err := e.compile(tab.LayoutExpr)
+// renderWithSpec renders the batch under spec as the table's one main
+// rendering and swaps the record in.
+func (e *Engine) renderWithSpec(tab *catalog.Table, b *vec.Batch, spec *layout.Spec) error {
+	entries, rows, bounds, err := e.renderSegments(b, spec)
 	if err != nil {
 		return err
 	}
-	return e.renderWithSpec(tab, schema, rows, spec)
-}
-
-func (e *Engine) renderWithSpec(tab *catalog.Table, schema *value.Schema, rows []value.Row, spec *layout.Spec) error {
-	rel := transforms.Relation{Schema: schema, Rows: rows}
-	rel, err := e.applySteps(rel, spec, false)
-	if err != nil {
-		return err
-	}
-
-	var bounds []transforms.GridBounds
-	var ordered []cellRun
-	if spec.Grid != nil {
-		bounds, err = transforms.ComputeGridBounds(rel, spec.Grid.Dims)
-		if err != nil {
-			return err
-		}
-		cells, err := transforms.GridAssign(rel, bounds)
-		if err != nil {
-			return err
-		}
-		ordered, err = orderCells(cells, bounds, spec.Grid.Curve)
-		if err != nil {
-			return err
-		}
-	} else {
-		ordered = []cellRun{{cell: segment.NoCell, rows: rel.Rows}}
-	}
-
-	var entries []catalog.SegmentEntry
-	for _, def := range spec.Segments {
-		entry, err := e.writeSegment(rel, def, spec.RowsPerBlock, ordered)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, entry)
-	}
-
 	tab.Segments = entries
 	tab.Runs = nil // a full render collapses the run hierarchy
 	tab.Tails = nil
-	tab.RowCount = int64(len(rel.Rows))
+	tab.RowCount = int64(rows)
 	dropIndexes(tab)
 	tab.GridBounds = nil
 	for _, b := range bounds {
@@ -850,116 +824,73 @@ func (e *Engine) renderWithSpec(tab *catalog.Table, schema *value.Schema, rows [
 	return e.cat.Put(tab)
 }
 
-// cellRun is one grid cell's rows (or the whole stream for ungridded).
-type cellRun struct {
-	cell uint64
-	rows []value.Row
+// renderSegments is the one render path load, reorganize and compaction
+// share: the layout's steps run as batch operations, grid layouts order the
+// rows into cell ranges, and every segment encodes its blocks straight from
+// the typed columns. It returns the written segments, the rendered row
+// count and the grid bounds (nil when ungridded).
+func (e *Engine) renderSegments(b *vec.Batch, spec *layout.Spec) ([]catalog.SegmentEntry, int, []transforms.GridBounds, error) {
+	b, cells, bounds, err := e.applySteps(b, spec, false)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	entries := make([]catalog.SegmentEntry, 0, len(spec.Segments))
+	for _, def := range spec.Segments {
+		w, err := e.stageSegment(b, def, spec.RowsPerBlock, cells)
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		meta, err := w.Finish()
+		if err != nil {
+			return nil, 0, nil, err
+		}
+		entries = append(entries, catalog.SegmentEntry{Fields: def.Fields, Codecs: def.Codecs, Meta: meta})
+	}
+	return entries, b.Len(), bounds, nil
 }
 
-// orderCells arranges cells along the layout's space-filling curve.
-func orderCells(cells map[uint64][]value.Row, bounds []transforms.GridBounds, curve algebra.CurveKind) ([]cellRun, error) {
-	maxCells := 0
-	for _, b := range bounds {
-		if b.Cells > maxCells {
-			maxCells = b.Cells
-		}
+// viaRows is the write path's one boxed adapter: fold and unfold, whose
+// semantics live in the row-at-a-time transforms, box the batch, run the
+// transform and rebuild a batch from its output.
+func viaRows(b *vec.Batch, fn func(transforms.Relation) (transforms.Relation, error)) (*vec.Batch, error) {
+	rows := make([]value.Row, b.Len())
+	for i := range rows {
+		rows[i] = b.Row(i)
 	}
-	bits := 1
-	for (1 << bits) < maxCells {
-		bits++
+	rel, err := fn(transforms.Relation{Schema: b.Schema(), Rows: rows})
+	if err != nil {
+		return nil, err
 	}
-	curveKey := func(cell uint64) (uint64, error) {
-		coords := transforms.CellCoords(cell, bounds)
-		switch curve {
-		case algebra.CurveRowMajor, "":
-			return cell, nil
-		case algebra.CurveZOrder:
-			cs := make([]uint32, len(coords))
-			for i, c := range coords {
-				cs[i] = uint32(c)
-			}
-			return zorder.InterleaveN(cs, bits)
-		case algebra.CurveHilbert:
-			if len(coords) != 2 {
-				return 0, fmt.Errorf("table: hilbert needs 2 dims")
-			}
-			return zorder.Hilbert2(uint(bits), uint32(coords[0]), uint32(coords[1])), nil
-		default:
-			return 0, fmt.Errorf("table: unknown curve %q", curve)
-		}
-	}
-	type keyed struct {
-		key  uint64
-		cell uint64
-	}
-	ks := make([]keyed, 0, len(cells))
-	for cell := range cells {
-		k, err := curveKey(cell)
-		if err != nil {
-			return nil, err
-		}
-		ks = append(ks, keyed{k, cell})
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make([]cellRun, len(ks))
-	for i, k := range ks {
-		out[i] = cellRun{cell: k.cell, rows: cells[k.cell]}
-	}
-	return out, nil
+	return vec.FromRows(rel.Schema, rel.Rows)
 }
 
 // stageSegment encodes one vertical partition's blocks into an in-memory
 // segment writer (no extent allocated, no page I/O — that happens when the
-// caller Finishes the writer). ordered carries the cell-ordered row runs
-// (nil means "use rel.Rows as one run", used by Insert tails).
-func (e *Engine) stageSegment(rel transforms.Relation, def layout.SegmentDef, rowsPerBlock int, ordered []cellRun) (*segment.Writer, error) {
-	proj, idx, err := rel.Schema.Project(def.Fields)
+// caller Finishes the writer). The segment's fields are picked as columns
+// of the batch; cells carries the grid's cell ranges (nil means the whole
+// batch is one ungridded run).
+func (e *Engine) stageSegment(b *vec.Batch, def layout.SegmentDef, rowsPerBlock int, cells []transforms.CellRun) (*segment.Writer, error) {
+	proj, idx, err := b.Schema().Project(def.Fields)
 	if err != nil {
 		return nil, err
 	}
-	spec := segment.Spec{Fields: proj.Fields, Codecs: def.Codecs}
-	w, err := segment.NewWriter(e.file, spec)
+	w, err := segment.NewWriter(e.file, segment.Spec{Fields: proj.Fields, Codecs: def.Codecs})
 	if err != nil {
 		return nil, err
 	}
-	if ordered == nil {
-		ordered = []cellRun{{cell: segment.NoCell, rows: rel.Rows}}
+	cols := make([]*vec.Vector, len(idx))
+	for i, c := range idx {
+		cols[i] = &b.Cols[c]
+	}
+	if cells == nil {
+		cells = []transforms.CellRun{{Cell: segment.NoCell, Hi: b.Len()}}
 	}
 	if rowsPerBlock <= 0 {
 		rowsPerBlock = segment.DefaultRowsPerBlock
 	}
-	// A segment holding every field in schema order needs no per-row
-	// projection: pass the row slice through (WriteBlock only reads it).
-	// This is the common tail-insert shape (rows/chunk layouts) and saves a
-	// Row allocation per row on the ingest path.
-	identity := len(idx) == len(rel.Schema.Fields)
-	for i, c := range idx {
-		if c != i {
-			identity = false
-			break
-		}
-	}
-	projRow := func(r value.Row) value.Row {
-		out := make(value.Row, len(idx))
-		for i, c := range idx {
-			out[i] = r[c]
-		}
-		return out
-	}
-	for _, run := range ordered {
-		for lo := 0; lo < len(run.rows); lo += rowsPerBlock {
-			hi := lo + rowsPerBlock
-			if hi > len(run.rows) {
-				hi = len(run.rows)
-			}
-			block := run.rows[lo:hi]
-			if !identity {
-				block = make([]value.Row, hi-lo)
-				for i, r := range run.rows[lo:hi] {
-					block[i] = projRow(r)
-				}
-			}
-			if err := w.WriteBlock(run.cell, block); err != nil {
+	for _, cr := range cells {
+		for lo := cr.Lo; lo < cr.Hi; lo += rowsPerBlock {
+			if err := w.WriteBatch(cr.Cell, cols, lo, min(lo+rowsPerBlock, cr.Hi)); err != nil {
 				return nil, err
 			}
 		}
@@ -967,92 +898,136 @@ func (e *Engine) stageSegment(rel transforms.Relation, def layout.SegmentDef, ro
 	return w, nil
 }
 
-// writeSegment renders one vertical partition: stage the blocks, then
-// allocate the extent and write the stream.
-func (e *Engine) writeSegment(rel transforms.Relation, def layout.SegmentDef, rowsPerBlock int, ordered []cellRun) (catalog.SegmentEntry, error) {
-	w, err := e.stageSegment(rel, def, rowsPerBlock, ordered)
-	if err != nil {
-		return catalog.SegmentEntry{}, err
-	}
-	meta, err := w.Finish()
-	if err != nil {
-		return catalog.SegmentEntry{}, err
-	}
-	return catalog.SegmentEntry{Fields: def.Fields, Codecs: def.Codecs, Meta: meta}, nil
-}
-
-// applySteps runs the layout pipeline over the relation. When tailOnly is
-// true, only per-row steps run (project/select/fold would corrupt tail
-// semantics differently: project and select apply; reordering steps are
-// skipped because tails are unorganized by design; fold/unfold/limit make
-// incremental inserts ill-defined and are rejected).
-func (e *Engine) applySteps(rel transforms.Relation, spec *layout.Spec, tailOnly bool) (transforms.Relation, error) {
+// applySteps runs the layout pipeline over the batch: project picks
+// columns, select filters with the compiled predicate, orderby and groupby
+// permute rows by typed key comparisons (exactly transforms.OrderBy /
+// GroupBy order), limit truncates, and fold/unfold go through the boxed
+// adapter; a grid layout then groups the rows into cell runs. When
+// tailOnly is true, only per-row steps run (project/select apply;
+// reordering steps and the grid are skipped because tails are unorganized
+// by design; fold/unfold/limit make incremental inserts ill-defined and
+// are rejected).
+func (e *Engine) applySteps(b *vec.Batch, spec *layout.Spec, tailOnly bool) (*vec.Batch, []transforms.CellRun, []transforms.GridBounds, error) {
 	for _, st := range spec.Steps {
 		var err error
 		switch st.Kind {
 		case layout.StepSelect:
-			rel, err = transforms.Select(rel, st.Pred)
+			b, err = selectRows(b, st.Pred)
 		case layout.StepProject:
-			rel, err = transforms.Project(rel, st.Fields)
+			var schema *value.Schema
+			var idx []int
+			if schema, idx, err = b.Schema().Project(st.Fields); err == nil {
+				b = b.Pick(schema, idx)
+			}
 		case layout.StepOrderBy:
 			if tailOnly {
 				continue
 			}
-			rel, err = transforms.OrderBy(rel, st.Keys)
+			fields := make([]string, len(st.Keys))
+			desc := make([]bool, len(st.Keys))
+			for i, k := range st.Keys {
+				fields[i], desc[i] = k.Field, k.Desc
+			}
+			var keys []*vec.Vector
+			if keys, err = b.Columns(fields); err == nil {
+				b = b.Take(vec.SortPerm(keys, desc, b.Len()))
+			}
 		case layout.StepGroupBy:
 			if tailOnly {
 				continue
 			}
-			rel, err = transforms.GroupBy(rel, st.Fields)
+			var keys []*vec.Vector
+			if keys, err = b.Columns(st.Fields); err == nil {
+				b = b.Take(vec.GroupPerm(keys, b.Len()))
+			}
 		case layout.StepLimit:
 			if tailOnly {
-				return rel, fmt.Errorf("table: cannot Insert into a limit[] layout; Reorganize instead")
+				return nil, nil, nil, fmt.Errorf("table: cannot Insert into a limit[] layout; Reorganize instead")
 			}
-			rel = transforms.Limit(rel, st.N)
+			b.Truncate(st.N)
 		case layout.StepFold:
 			if tailOnly {
-				return rel, fmt.Errorf("table: cannot Insert into a folded layout; Reorganize instead")
+				return nil, nil, nil, fmt.Errorf("table: cannot Insert into a folded layout; Reorganize instead")
 			}
+			fold := transforms.FoldHash
 			if e.Fold == FoldNestedLoop {
-				rel, err = transforms.FoldNestedLoop(rel, st.Fields, st.By)
-			} else {
-				rel, err = transforms.FoldHash(rel, st.Fields, st.By)
+				fold = transforms.FoldNestedLoop
 			}
+			b, err = viaRows(b, func(rel transforms.Relation) (transforms.Relation, error) {
+				return fold(rel, st.Fields, st.By)
+			})
 		case layout.StepUnfold:
 			if tailOnly {
-				return rel, fmt.Errorf("table: cannot Insert into an unfold layout; Reorganize instead")
+				return nil, nil, nil, fmt.Errorf("table: cannot Insert into an unfold layout; Reorganize instead")
 			}
-			rel, err = transforms.Unfold(rel, st.Fields, st.Kinds)
+			b, err = viaRows(b, func(rel transforms.Relation) (transforms.Relation, error) {
+				return transforms.Unfold(rel, st.Fields, st.Kinds)
+			})
 		default:
 			err = fmt.Errorf("table: unknown step %q", st.Kind)
 		}
 		if err != nil {
-			return rel, err
+			return nil, nil, nil, err
 		}
 	}
-	return rel, nil
+	if spec.Grid == nil || tailOnly {
+		return b, nil, nil, nil
+	}
+	perm, cells, bounds, err := transforms.GridPartition(b, spec.Grid.Dims, spec.Grid.Curve)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return b.Take(perm), cells, bounds, nil
 }
 
-// readAllRows reads the table's full stored content (main + tails) in
-// stored order, returning the stored schema.
-func (e *Engine) readAllRows(tab *catalog.Table) ([]value.Row, *value.Schema, error) {
+// selectRows keeps the rows satisfying pred (the select step).
+func selectRows(b *vec.Batch, pred algebra.Predicate) (*vec.Batch, error) {
+	if err := pred.Validate(b.Schema()); err != nil {
+		return nil, err
+	}
+	filter, err := algebra.CompilePred(pred, b.Schema())
+	if err != nil {
+		return nil, err
+	}
+	sel := filter.Filter(b, vec.FillSel(nil, b.Len()))
+	if len(sel) == b.Len() {
+		return b, nil
+	}
+	return b.Take(sel), nil
+}
+
+// readForRender reads tab's full stored content (main, runs and tails) in
+// stored order into one batch, draining the scan's typed batches without
+// boxing a row, and resolves the plan to re-render it with: spec itself,
+// or — when the stored form dropped attributes (e.g. project[lat,lon]) —
+// the layout recompiled against what is actually stored, so steps
+// referencing dropped fields fail with a clear error.
+func (e *Engine) readForRender(tab *catalog.Table, spec *layout.Spec) (*vec.Batch, *layout.Spec, error) {
 	cur, err := e.scanStored(tab, nil, algebra.True, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer cur.Close()
-	var rows []value.Row
+	if logical, err := tab.Schema(); err != nil {
+		return nil, nil, err
+	} else if cur.Schema().String() != logical.String() {
+		if spec, err = e.compileAgainst(tab.LayoutExpr, tab.Name, cur.Schema()); err != nil {
+			return nil, nil, fmt.Errorf("table: re-render %q: layout needs attributes the stored form dropped: %w", tab.Name, err)
+		}
+	}
+	acc := vec.NewBatch(cur.Schema())
 	for {
-		row, ok, err := cur.Next()
+		b, ok, err := cur.NextBatch()
 		if err != nil {
 			return nil, nil, err
 		}
 		if !ok {
-			break
+			return acc, spec, nil
 		}
-		rows = append(rows, row)
+		if err := acc.AppendBatch(b); err != nil {
+			return nil, nil, err
+		}
 	}
-	return rows, cur.Schema(), nil
 }
 
 // storedSchema reconstructs the final (stored) schema of the table from its
@@ -1067,6 +1042,10 @@ func storedSchema(tab *catalog.Table) (*value.Schema, error) {
 		// Never bulk-loaded: the oldest organized run carries the stored
 		// schema (all runs of a table share the layout's segmentation).
 		entries = tab.Runs[0].Segments
+	}
+	if len(entries) == 0 && len(tab.Tails) > 0 {
+		// Only tails so far: they are stored in the layout's projection.
+		entries = tab.Tails[0]
 	}
 	if len(entries) == 0 {
 		return logical, nil

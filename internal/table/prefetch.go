@@ -257,9 +257,9 @@ type runLoader struct {
 	pf    *prefetcher // nil: synchronous coalescing only
 
 	runs    []segRun
-	cur     int // index into runs of the adopted run, -1 if none
-	reqd    int // index of the run requested from pf, -1 if none
-	covered int // leading blocks of runs[cur] served by adopted bytes
+	cur     int   // index into runs of the adopted run, -1 if none
+	reqd    int   // index of the run requested from pf, -1 if none
+	covered int   // leading blocks of runs[cur] served by adopted bytes
 	tailErr error // pending error for block runs[cur].lo+covered, delivered once
 
 	release func() error // lease on the adopted run's prefetched buffers

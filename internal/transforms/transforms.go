@@ -13,9 +13,12 @@ package transforms
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"rodentstore/internal/algebra"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
+	"rodentstore/internal/zorder"
 )
 
 // Relation is an in-memory table: a schema plus rows.
@@ -528,6 +531,143 @@ func GridAssign(rel Relation, bounds []GridBounds) (map[uint64][]value.Row, erro
 		cells[idx] = append(cells[idx], row)
 	}
 	return cells, nil
+}
+
+// CellRun is one grid cell's rows [Lo, Hi) of a grid-ordered row stream.
+type CellRun struct {
+	Cell   uint64
+	Lo, Hi int
+}
+
+// GridPartition is the batch form of ComputeGridBounds + GridAssign +
+// CurveOrder, with their semantics and errors: it derives the grid's
+// bounds from the batch's dimension columns, assigns every row its cell,
+// and returns the permutation that groups the rows by cell — cells along
+// the curve (paper §3.6), rows in input order within a cell — together
+// with the cell runs of the permuted rows.
+func GridPartition(b *vec.Batch, dims []algebra.GridDim, curve algebra.CurveKind) ([]int32, []CellRun, []GridBounds, error) {
+	n := b.Len()
+	bounds := make([]GridBounds, len(dims))
+	coords := make([][]float64, len(dims))
+	for i, d := range dims {
+		c := b.Schema().Index(d.Field)
+		if c < 0 {
+			return nil, nil, nil, fmt.Errorf("transforms: grid: unknown field %q", d.Field)
+		}
+		col := &b.Cols[c]
+		switch col.Kind() {
+		case value.Int:
+			coords[i] = make([]float64, n)
+			for r, x := range col.Int64s[:n] {
+				coords[i][r] = float64(x)
+			}
+		case value.Float:
+			coords[i] = col.Float64s[:n]
+		default:
+			return nil, nil, nil, fmt.Errorf("transforms: grid: field %q is %s, not numeric", d.Field, col.Kind())
+		}
+		if col.Nulls.Any() {
+			return nil, nil, nil, fmt.Errorf("transforms: grid: null value in dimension %q", d.Field)
+		}
+		bd := GridBounds{Field: d.Field, Col: c, Cells: d.Cells, Min: math.Inf(1), Max: math.Inf(-1)}
+		for _, v := range coords[i] {
+			if v < bd.Min {
+				bd.Min = v
+			}
+			if v > bd.Max {
+				bd.Max = v
+			}
+		}
+		if n == 0 {
+			bd.Min, bd.Max = 0, 0
+		}
+		bounds[i] = bd
+	}
+	ids := make([]uint64, n)
+	rows := make(map[uint64]int) // cell -> row count
+	for r := range ids {
+		var idx uint64
+		for i, bd := range bounds {
+			idx = idx*uint64(bd.Cells) + uint64(bd.CellOf(coords[i][r]))
+		}
+		ids[r] = idx
+		rows[idx]++
+	}
+	distinct := make([]uint64, 0, len(rows))
+	for cell := range rows {
+		distinct = append(distinct, cell)
+	}
+	order, err := CurveOrder(distinct, bounds, curve)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cells := make([]CellRun, len(order))
+	next := make(map[uint64]int, len(order)) // cell -> next output slot
+	lo := 0
+	for k, cell := range order {
+		cells[k] = CellRun{Cell: cell, Lo: lo, Hi: lo + rows[cell]}
+		next[cell] = lo
+		lo += rows[cell]
+	}
+	perm := make([]int32, n)
+	for r, cell := range ids {
+		perm[next[cell]] = int32(r)
+		next[cell]++
+	}
+	return perm, cells, bounds, nil
+}
+
+// CurveOrder arranges distinct grid cells along a cell-ordering curve
+// (row-major, Z-order or Hilbert).
+func CurveOrder(cells []uint64, bounds []GridBounds, curve algebra.CurveKind) ([]uint64, error) {
+	maxCells := 0
+	for _, b := range bounds {
+		if b.Cells > maxCells {
+			maxCells = b.Cells
+		}
+	}
+	bits := 1
+	for (1 << bits) < maxCells {
+		bits++
+	}
+	curveKey := func(cell uint64) (uint64, error) {
+		coords := CellCoords(cell, bounds)
+		switch curve {
+		case algebra.CurveRowMajor, "":
+			return cell, nil
+		case algebra.CurveZOrder:
+			cs := make([]uint32, len(coords))
+			for i, c := range coords {
+				cs[i] = uint32(c)
+			}
+			return zorder.InterleaveN(cs, bits)
+		case algebra.CurveHilbert:
+			if len(coords) != 2 {
+				return 0, fmt.Errorf("transforms: hilbert needs 2 dims")
+			}
+			return zorder.Hilbert2(uint(bits), uint32(coords[0]), uint32(coords[1])), nil
+		default:
+			return 0, fmt.Errorf("transforms: unknown curve %q", curve)
+		}
+	}
+	type keyed struct {
+		key  uint64
+		cell uint64
+	}
+	ks := make([]keyed, 0, len(cells))
+	for _, cell := range cells {
+		k, err := curveKey(cell)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, keyed{k, cell})
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make([]uint64, len(ks))
+	for i, k := range ks {
+		out[i] = k.cell
+	}
+	return out, nil
 }
 
 // CellIndex linearizes the cell coordinates of a row in row-major order

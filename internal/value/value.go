@@ -337,15 +337,13 @@ func (v Value) hashInto(h hasher) {
 		writeUint64(h, uint64(v.i))
 	case Float:
 		// Hash integral floats identically to ints so Equal ⇒ same hash.
-		if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
+		key, integral := FloatHashKey(v.f)
+		tag[0] = 3
+		if integral {
 			tag[0] = 2
-			h.Write(tag[:])
-			writeUint64(h, uint64(int64(v.f)))
-		} else {
-			tag[0] = 3
-			h.Write(tag[:])
-			writeUint64(h, math.Float64bits(v.f))
 		}
+		h.Write(tag[:])
+		writeUint64(h, key)
 	case Str:
 		tag[0] = 4
 		h.Write(tag[:])
@@ -361,6 +359,18 @@ func (v Value) hashInto(h hasher) {
 			c.hashInto(h)
 		}
 	}
+}
+
+// FloatHashKey is the payload Hash feeds for a float: the int it equals
+// when it is integral (so -0 and +0, and 3.0 and Int 3, hash alike), its
+// bits otherwise (so distinct NaN payloads hash apart). Typed code that must
+// group floats exactly as Hash + Equal do buckets by this key and then
+// compares with CompareFloats.
+func FloatHashKey(f float64) (key uint64, integral bool) {
+	if f == math.Trunc(f) && !math.IsInf(f, 0) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		return uint64(int64(f)), true
+	}
+	return math.Float64bits(f), false
 }
 
 func writeUint64(h hasher, u uint64) {
