@@ -166,9 +166,9 @@ func title(cfg bench.Config, name string) string {
 	case "ingest":
 		return "Ext-10: concurrent ingest throughput (group-commit WAL, staged inserts, background merge)"
 	case "filter":
-		return "Ext-11: filtered-scan selectivity sweep (vectorized batches vs boxed rows)"
+		return "Ext-11: filtered-scan selectivity sweep (typed batches, compiled filter)"
 	case "agg":
-		return "Ext-13: aggregation throughput (vectorized kernels + morsel scheduler vs boxed rows)"
+		return "Ext-13: aggregation throughput (vectorized kernels, serial vs morsel scheduler)"
 	case "scanio":
 		return "Ext-14: scan I/O pipeline (coalesced run reads + async prefetch + scan-resistant admission)"
 	case "compact":
@@ -246,29 +246,25 @@ func printScanIO(rep *bench.ScanIOReport) error {
 
 func printAgg(results []bench.AggResult) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\taggregate\tselectivity\tmode\tprocs\trows\tgroups\tms\trows/sec\tvs boxed\tvs serial")
+	fmt.Fprintln(w, "run\taggregate\tselectivity\tmode\tprocs\trows\tgroups\tms\trows/sec\tvs serial")
 	for _, r := range results {
 		procs, parSpeed := "", ""
 		if r.Mode == "parallel" {
 			procs = fmt.Sprintf("%d", r.Gomaxprocs)
 			parSpeed = fmt.Sprintf("%.2fx", r.ParallelSpeedup)
 		}
-		fmt.Fprintf(w, "%s\t%s\t%.0f%%\t%s\t%s\t%d\t%d\t%.1f\t%.0f\t%.2fx\t%s\n",
-			r.Name, r.Agg, r.Selectivity*100, r.Mode, procs, r.Rows, r.Groups, r.Ms, r.RowsPerSec, r.Speedup, parSpeed)
+		fmt.Fprintf(w, "%s\t%s\t%.0f%%\t%s\t%s\t%d\t%d\t%.1f\t%.0f\t%s\n",
+			r.Name, r.Agg, r.Selectivity*100, r.Mode, procs, r.Rows, r.Groups, r.Ms, r.RowsPerSec, parSpeed)
 	}
 	return w.Flush()
 }
 
 func printFilter(results []bench.FilterResult) error {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "run\tselectivity\texecutor\trows\tmatched\tms\trows/sec\tspeedup")
+	fmt.Fprintln(w, "run\tselectivity\trows\tmatched\tms\trows/sec")
 	for _, r := range results {
-		mode := "boxed"
-		if r.Vectorized {
-			mode = "vectorized"
-		}
-		fmt.Fprintf(w, "%s\t%.1f%%\t%s\t%d\t%d\t%.1f\t%.0f\t%.2fx\n",
-			r.Name, r.Selectivity*100, mode, r.Rows, r.Matched, r.Ms, r.RowsPerSec, r.Speedup)
+		fmt.Fprintf(w, "%s\t%.1f%%\t%d\t%d\t%.1f\t%.0f\n",
+			r.Name, r.Selectivity*100, r.Rows, r.Matched, r.Ms, r.RowsPerSec)
 	}
 	return w.Flush()
 }

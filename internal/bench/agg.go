@@ -13,8 +13,8 @@ import (
 )
 
 // AggResult is one aggregation measurement: full-table aggregate rows/sec
-// at a given predicate selectivity, through the vectorized kernels (serial
-// or morsel-parallel) or the boxed row-at-a-time oracle.
+// at a given predicate selectivity, through the typed kernels run serially
+// or on the morsel scheduler.
 type AggResult struct {
 	// Name labels the run, e.g. "sum sel=1% vectorized".
 	Name string
@@ -22,7 +22,7 @@ type AggResult struct {
 	Agg string
 	// Selectivity is the fraction of rows the predicate matches.
 	Selectivity float64
-	// Mode is boxed, vectorized, or parallel.
+	// Mode is vectorized (serial) or parallel.
 	Mode string
 	// Gomaxprocs records runtime.GOMAXPROCS(0) for parallel runs (0
 	// otherwise) — a parallel speedup is only meaningful with >1.
@@ -35,9 +35,6 @@ type AggResult struct {
 	Ms float64
 	// RowsPerSec is scanned Rows / wall seconds.
 	RowsPerSec float64
-	// Speedup is RowsPerSec over the boxed run of the same aggregate at the
-	// same selectivity.
-	Speedup float64
 	// ParallelSpeedup is RowsPerSec over the serial vectorized run (set on
 	// parallel runs only).
 	ParallelSpeedup float64
@@ -46,33 +43,55 @@ type AggResult struct {
 // AggSelectivities is the sweep AggThroughput measures.
 var AggSelectivities = []float64{0.01, 1.0}
 
+// aggKeySpace is the range of AggThroughput's uniform-random key column.
+const aggKeySpace = 1 << 20
+
+// aggShapes are the aggregate shapes AggThroughput measures.
+var aggShapes = []struct {
+	agg     string
+	aggs    []string
+	groupBy []string
+}{
+	{"count", []string{"count"}, nil},
+	{"sum", []string{"sum(v)"}, nil},
+	{"group-by", []string{"count", "sum(v)"}, []string{"g"}},
+	{"expr", []string{"sum(v * 2 + k)", "min(x)"}, nil},
+}
+
+// aggRows generates AggThroughput's table: a uniform-random key k, a
+// 64-value group column g, a row id v and a float x.
+func aggRows(cfg Config) []value.Row {
+	r := rand.New(rand.NewSource(cfg.Seed))
+	rows := make([]value.Row, cfg.N)
+	for i := range rows {
+		rows[i] = value.Row{
+			value.NewInt(int64(r.Intn(aggKeySpace))),
+			value.NewInt(int64(r.Intn(64))),
+			value.NewInt(int64(i)),
+			value.NewFloat(r.Float64()),
+		}
+	}
+	return rows
+}
+
+// aggThreshold is the exclusive key bound that selects sel of the keys.
+func aggThreshold(sel float64) int64 { return int64(float64(aggKeySpace) * sel) }
+
 // AggThroughput (Ext-13) measures the pushed-down aggregation path: count,
 // sum, hash group-by, and an arithmetic-expression sum over a four-column
-// table, at 1% and 100% predicate selectivity. The boxed oracle runs the
-// same aggExec semantics row-at-a-time (NoVectorize); the vectorized run
-// uses the typed kernels; the parallel run adds the morsel scheduler. The
+// table, at 1% and 100% predicate selectivity. The vectorized run uses the
+// typed kernels inline; the parallel run adds the morsel scheduler. The
 // buffer pool is pre-warmed and zone pruning is left on (the aggregate
 // path prunes exactly like a scan), so differences are per-tuple CPU cost.
-// Results are bit-identical across all three executors by construction —
-// this experiment measures only the clock.
+// Results are bit-identical across both by construction — this experiment
+// measures only the clock.
 func AggThroughput(cfg Config) ([]AggResult, error) {
-	const keySpace = 1 << 20
 	schema := value.MustSchema(
 		value.Field{Name: "k", Type: value.Int},
 		value.Field{Name: "g", Type: value.Int},
 		value.Field{Name: "v", Type: value.Int},
 		value.Field{Name: "x", Type: value.Float},
 	)
-	r := rand.New(rand.NewSource(cfg.Seed))
-	rows := make([]value.Row, cfg.N)
-	for i := range rows {
-		rows[i] = value.Row{
-			value.NewInt(int64(r.Intn(keySpace))),
-			value.NewInt(int64(r.Intn(64))),
-			value.NewInt(int64(i)),
-			value.NewFloat(r.Float64()),
-		}
-	}
 	e, err := newEnv(cfg, "agg")
 	if err != nil {
 		return nil, err
@@ -81,7 +100,7 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 	if err := e.eng.Create("A", schema, "chunk[4096](rows(A))"); err != nil {
 		return nil, err
 	}
-	if err := e.eng.Load("A", rows); err != nil {
+	if err := e.eng.Load("A", aggRows(cfg)); err != nil {
 		return nil, err
 	}
 	pool, err := buffer.NewPool(e.file, int(e.file.NumPages())+64)
@@ -101,37 +120,27 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 		}
 		return spec, nil
 	}
-	shapes := []struct {
-		agg     string
-		aggs    []string
-		groupBy []string
-	}{
-		{"count", []string{"count"}, nil},
-		{"sum", []string{"sum(v)"}, nil},
-		{"group-by", []string{"count", "sum(v)"}, []string{"g"}},
-		{"expr", []string{"sum(v * 2 + k)", "min(x)"}, nil},
-	}
 	// Warm the pool with one full pass.
 	if warm, err := specOf([]string{"sum(v)"}, nil); err != nil {
 		return nil, err
-	} else if _, _, err := runAgg(e, warm, algebra.True, "vectorized"); err != nil {
+	} else if _, _, err := runAgg(e, warm, algebra.True, false); err != nil {
 		return nil, err
 	}
 
 	var out []AggResult
-	for _, shape := range shapes {
+	for _, shape := range aggShapes {
 		spec, err := specOf(shape.aggs, shape.groupBy)
 		if err != nil {
 			return nil, err
 		}
 		for _, sel := range AggSelectivities {
-			pred := algebra.True.And("k", algebra.OpLt, value.NewInt(int64(float64(keySpace)*sel)))
-			var boxedRPS, vecRPS float64
-			for _, mode := range []string{"boxed", "vectorized", "parallel"} {
+			pred := algebra.True.And("k", algebra.OpLt, value.NewInt(aggThreshold(sel)))
+			var vecRPS float64
+			for _, mode := range []string{"vectorized", "parallel"} {
 				best := AggResult{Agg: shape.agg, Selectivity: sel, Mode: mode}
 				for rep := 0; rep < 3; rep++ {
 					start := time.Now()
-					groups, scanned, err := runAgg(e, spec, pred, mode)
+					groups, scanned, err := runAgg(e, spec, pred, mode == "parallel")
 					elapsed := time.Since(start)
 					if err != nil {
 						return nil, err
@@ -146,19 +155,13 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 				if secs := best.Ms / 1000.0; secs > 0 {
 					best.RowsPerSec = float64(best.Rows) / secs
 				}
-				switch mode {
-				case "boxed":
-					boxedRPS = best.RowsPerSec
-				case "vectorized":
+				if mode == "vectorized" {
 					vecRPS = best.RowsPerSec
-				case "parallel":
+				} else {
 					best.Gomaxprocs = runtime.GOMAXPROCS(0)
 					if vecRPS > 0 {
 						best.ParallelSpeedup = best.RowsPerSec / vecRPS
 					}
-				}
-				if boxedRPS > 0 {
-					best.Speedup = best.RowsPerSec / boxedRPS
 				}
 				best.Name = fmt.Sprintf("%s sel=%g%% %s", shape.agg, sel*100, mode)
 				out = append(out, best)
@@ -170,15 +173,8 @@ func AggThroughput(cfg Config) ([]AggResult, error) {
 
 // runAgg runs one aggregation over A, returning the group count and the
 // scanned (input) row count.
-func runAgg(e *env, spec *table.AggSpec, pred algebra.Predicate, mode string) (groups int, scanned int64, err error) {
-	opts := table.ScanOptions{Pred: pred, Aggregate: spec}
-	switch mode {
-	case "boxed":
-		opts.NoVectorize = true
-	case "parallel":
-		opts.Parallel = true
-	}
-	cur, err := e.eng.Scan("A", opts)
+func runAgg(e *env, spec *table.AggSpec, pred algebra.Predicate, parallel bool) (groups int, scanned int64, err error) {
+	cur, err := e.eng.Scan("A", table.ScanOptions{Pred: pred, Aggregate: spec, Parallel: parallel})
 	if err != nil {
 		return 0, 0, err
 	}

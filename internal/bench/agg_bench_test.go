@@ -11,34 +11,47 @@ func TestAggThroughputShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 aggregate shapes × selectivities × (boxed, vectorized, parallel).
-	want := 4 * len(AggSelectivities) * 3
+	// 4 aggregate shapes × selectivities × (vectorized, parallel).
+	want := len(aggShapes) * len(AggSelectivities) * 2
 	if len(results) != want {
 		t.Fatalf("results: %d, want %d", len(results), want)
 	}
-	for i := 0; i < len(results); i += 3 {
-		boxed, vect, par := results[i], results[i+1], results[i+2]
-		if boxed.Mode != "boxed" || vect.Mode != "vectorized" || par.Mode != "parallel" {
-			t.Fatalf("triple %d: mode order %s/%s/%s", i, boxed.Mode, vect.Mode, par.Mode)
-		}
-		// The three executors are differential twins: same group count.
-		if boxed.Groups != vect.Groups || vect.Groups != par.Groups {
-			t.Errorf("%s: groups %d/%d/%d diverge", boxed.Agg, boxed.Groups, vect.Groups, par.Groups)
-		}
-		if boxed.Rows != int64(cfg.N) {
-			t.Errorf("%s: scanned %d rows, want %d", boxed.Name, boxed.Rows, cfg.N)
-		}
-		if vect.Speedup <= 0 || par.Speedup <= 0 {
-			t.Errorf("%s: speedups %v/%v", boxed.Agg, vect.Speedup, par.Speedup)
-		}
-		if par.Gomaxprocs < 1 {
-			t.Errorf("%s: parallel run did not record GOMAXPROCS", par.Name)
-		}
-		if boxed.Agg == "group-by" && boxed.Groups != 64 {
-			t.Errorf("group-by groups: %d, want 64", boxed.Groups)
-		}
-		if boxed.Agg != "group-by" && boxed.Groups != 1 {
-			t.Errorf("%s groups: %d, want 1", boxed.Agg, boxed.Groups)
+	rows := aggRows(cfg)
+	i := 0
+	for _, shape := range aggShapes {
+		for _, sel := range AggSelectivities {
+			// The group count computed straight from the generated rows:
+			// distinct g among the selected rows, or one global group.
+			threshold := aggThreshold(sel)
+			wantGroups := 1
+			if len(shape.groupBy) > 0 {
+				seen := map[int64]bool{}
+				for _, row := range rows {
+					if row[0].Int() < threshold {
+						seen[row[1].Int()] = true
+					}
+				}
+				wantGroups = len(seen)
+			}
+			vect, par := results[i], results[i+1]
+			i += 2
+			if vect.Mode != "vectorized" || par.Mode != "parallel" || vect.Agg != shape.agg || par.Agg != shape.agg {
+				t.Fatalf("%s sel=%v: results out of order: %s/%s %s/%s", shape.agg, sel, vect.Agg, vect.Mode, par.Agg, par.Mode)
+			}
+			for _, r := range []AggResult{vect, par} {
+				if r.Groups != wantGroups {
+					t.Errorf("%s: %d groups, want %d", r.Name, r.Groups, wantGroups)
+				}
+				if r.Rows != int64(cfg.N) {
+					t.Errorf("%s: scanned %d rows, want %d", r.Name, r.Rows, cfg.N)
+				}
+			}
+			if par.ParallelSpeedup <= 0 {
+				t.Errorf("%s: parallel speedup %v", par.Name, par.ParallelSpeedup)
+			}
+			if par.Gomaxprocs < 1 {
+				t.Errorf("%s: parallel run did not record GOMAXPROCS", par.Name)
+			}
 		}
 	}
 }

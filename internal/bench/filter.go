@@ -12,16 +12,12 @@ import (
 )
 
 // FilterResult is one filtered-scan measurement: full-table scan rows/sec
-// at a given predicate selectivity, through the vectorized batch executor
-// or the boxed row-at-a-time baseline.
+// at a given predicate selectivity.
 type FilterResult struct {
-	// Name labels the run, e.g. "sel=1% vectorized".
+	// Name labels the run, e.g. "sel=1%".
 	Name string
 	// Selectivity is the fraction of rows the predicate matches.
 	Selectivity float64
-	// Vectorized reports which executor ran: typed column batches drained
-	// with NextBatch, or boxed rows drained with Next.
-	Vectorized bool
 	// Rows is the number of table rows scanned (the input size).
 	Rows int64
 	// Matched is the number of rows the predicate selected.
@@ -29,38 +25,46 @@ type FilterResult struct {
 	// Ms is the wall time of the best run.
 	Ms float64
 	// RowsPerSec is scanned Rows / wall seconds — the per-tuple CPU cost
-	// the executors differ on.
+	// of decode, filter and late materialization.
 	RowsPerSec float64
-	// Speedup is RowsPerSec over the boxed run at the same selectivity.
-	Speedup float64
 }
 
 // FilterSelectivities is the sweep FilteredScan measures.
 var FilterSelectivities = []float64{0.001, 0.01, 0.1, 1.0}
 
-// FilteredScan (Ext-11) measures the vectorized executor against the boxed
-// row-at-a-time path on a CPU-bound filtered scan: a 16-byte-row table (two
-// int64 columns) with a uniform-random key column, predicate selectivity
-// swept from 0.1% to 100%. The buffer pool is pre-warmed and zone pruning
-// disabled, so both executors decode every block and the difference is pure
-// per-tuple cost — value boxing, interpreted predicate evaluation and row
-// materialization against typed decode, a compiled selection-vector filter
-// and late materialization. Each measurement is the best of three runs
-// (the container jitter is multiplicative, not additive).
-func FilteredScan(cfg Config) ([]FilterResult, error) {
-	const keySpace = 1 << 20
-	schema := value.MustSchema(
-		value.Field{Name: "k", Type: value.Int},
-		value.Field{Name: "v", Type: value.Int},
-	)
+// filterKeySpace is the range of FilteredScan's uniform-random key column.
+const filterKeySpace = 1 << 20
+
+// filterRows generates FilteredScan's table: a uniform-random key k and a
+// row id v, two int64 columns (16-byte rows).
+func filterRows(cfg Config) []value.Row {
 	r := rand.New(rand.NewSource(cfg.Seed))
 	rows := make([]value.Row, cfg.N)
 	for i := range rows {
 		rows[i] = value.Row{
-			value.NewInt(int64(r.Intn(keySpace))),
+			value.NewInt(int64(r.Intn(filterKeySpace))),
 			value.NewInt(int64(i)),
 		}
 	}
+	return rows
+}
+
+// filterThreshold is the exclusive key bound that selects sel of the keys.
+func filterThreshold(sel float64) int64 { return int64(float64(filterKeySpace) * sel) }
+
+// FilteredScan (Ext-11) measures the block executor on a CPU-bound
+// filtered scan: a 16-byte-row table with a uniform-random key column,
+// predicate selectivity swept from 0.1% to 100%. The buffer pool is
+// pre-warmed and zone pruning disabled, so every block is decoded and the
+// clock measures pure per-tuple cost: typed decode, a compiled
+// selection-vector filter and late materialization, drained as batches.
+// Each measurement is the best of three runs (the container jitter is
+// multiplicative, not additive).
+func FilteredScan(cfg Config) ([]FilterResult, error) {
+	schema := value.MustSchema(
+		value.Field{Name: "k", Type: value.Int},
+		value.Field{Name: "v", Type: value.Int},
+	)
 	e, err := newEnv(cfg, "filter")
 	if err != nil {
 		return nil, err
@@ -69,7 +73,7 @@ func FilteredScan(cfg Config) ([]FilterResult, error) {
 	if err := e.eng.Create("F", schema, "chunk[4096](rows(F))"); err != nil {
 		return nil, err
 	}
-	if err := e.eng.Load("F", rows); err != nil {
+	if err := e.eng.Load("F", filterRows(cfg)); err != nil {
 		return nil, err
 	}
 	// A pool big enough for the whole table makes every run a hot, CPU-bound
@@ -79,61 +83,40 @@ func FilteredScan(cfg Config) ([]FilterResult, error) {
 		return nil, err
 	}
 	e.eng.Source = pool
-	if _, _, err := scanFiltered(e, algebra.True, false); err != nil { // warm
+	if _, _, err := scanFiltered(e, algebra.True); err != nil { // warm
 		return nil, err
 	}
 
 	var out []FilterResult
 	for _, sel := range FilterSelectivities {
-		threshold := int64(float64(keySpace) * sel)
-		pred := algebra.True.And("k", algebra.OpLt, value.NewInt(threshold))
-		var boxedRPS float64
-		for _, vectorized := range []bool{false, true} {
-			best := FilterResult{Selectivity: sel, Vectorized: vectorized}
-			for rep := 0; rep < 3; rep++ {
-				start := time.Now()
-				matched, scanned, err := scanFiltered(e, pred, !vectorized)
-				elapsed := time.Since(start)
-				if err != nil {
-					return nil, err
-				}
-				ms := float64(elapsed.Microseconds()) / 1000.0
-				if rep == 0 || ms < best.Ms {
-					best.Ms = ms
-					best.Rows = scanned
-					best.Matched = matched
-				}
+		pred := algebra.True.And("k", algebra.OpLt, value.NewInt(filterThreshold(sel)))
+		best := FilterResult{Name: fmt.Sprintf("sel=%g%%", sel*100), Selectivity: sel}
+		for rep := 0; rep < 3; rep++ {
+			start := time.Now()
+			matched, scanned, err := scanFiltered(e, pred)
+			elapsed := time.Since(start)
+			if err != nil {
+				return nil, err
 			}
-			secs := best.Ms / 1000.0
-			if secs > 0 {
-				best.RowsPerSec = float64(best.Rows) / secs
+			ms := float64(elapsed.Microseconds()) / 1000.0
+			if rep == 0 || ms < best.Ms {
+				best.Ms = ms
+				best.Rows = scanned
+				best.Matched = matched
 			}
-			mode := "boxed"
-			if vectorized {
-				mode = "vectorized"
-			} else {
-				boxedRPS = best.RowsPerSec
-			}
-			if boxedRPS > 0 {
-				best.Speedup = best.RowsPerSec / boxedRPS
-			}
-			best.Name = fmt.Sprintf("sel=%g%% %s", sel*100, mode)
-			out = append(out, best)
 		}
+		if secs := best.Ms / 1000.0; secs > 0 {
+			best.RowsPerSec = float64(best.Rows) / secs
+		}
+		out = append(out, best)
 	}
 	return out, nil
 }
 
-// scanFiltered drains one full scan of F under pred, returning matched and
-// scanned row counts. The vectorized run iterates batches (NextBatch), the
-// boxed run iterates rows (Next) — each executor's natural consumption
-// style.
-func scanFiltered(e *env, pred algebra.Predicate, noVec bool) (matched, scanned int64, err error) {
-	cur, err := e.eng.Scan("F", table.ScanOptions{
-		Pred:        pred,
-		NoZonePrune: true,
-		NoVectorize: noVec,
-	})
+// scanFiltered drains one full scan of F under pred as batches, returning
+// matched and scanned row counts.
+func scanFiltered(e *env, pred algebra.Predicate) (matched, scanned int64, err error) {
+	cur, err := e.eng.Scan("F", table.ScanOptions{Pred: pred, NoZonePrune: true})
 	if err != nil {
 		return 0, 0, err
 	}
@@ -141,18 +124,6 @@ func scanFiltered(e *env, pred algebra.Predicate, noVec bool) (matched, scanned 
 	scanned, err = e.eng.RowCount("F")
 	if err != nil {
 		return 0, 0, err
-	}
-	if noVec {
-		for {
-			_, ok, err := cur.Next()
-			if err != nil {
-				return 0, 0, err
-			}
-			if !ok {
-				return matched, scanned, nil
-			}
-			matched++
-		}
 	}
 	for {
 		b, ok, err := cur.NextBatch()

@@ -11,38 +11,31 @@ func TestFilteredScanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 2*len(FilterSelectivities) {
-		t.Fatalf("results: %d, want %d", len(results), 2*len(FilterSelectivities))
+	if len(results) != len(FilterSelectivities) {
+		t.Fatalf("results: %d, want %d", len(results), len(FilterSelectivities))
 	}
-	// Pair up boxed/vectorized per selectivity: identical matched counts
-	// (the executors are differential twins), scanned rows equal to N, and
-	// matched growing with selectivity.
-	prevMatched := int64(-1)
-	for i := 0; i < len(results); i += 2 {
-		boxed, vect := results[i], results[i+1]
-		if boxed.Vectorized || !vect.Vectorized {
-			t.Fatalf("pair %d: executor order wrong", i)
+	rows := filterRows(cfg)
+	for i, r := range results {
+		if r.Selectivity != FilterSelectivities[i] {
+			t.Fatalf("result %d: selectivity %v, want %v", i, r.Selectivity, FilterSelectivities[i])
 		}
-		if boxed.Selectivity != vect.Selectivity {
-			t.Fatalf("pair %d: selectivities %v vs %v", i, boxed.Selectivity, vect.Selectivity)
+		// The matched count must be the number of generated keys below the
+		// threshold, computed here straight from the rows.
+		threshold := filterThreshold(r.Selectivity)
+		var want int64
+		for _, row := range rows {
+			if row[0].Int() < threshold {
+				want++
+			}
 		}
-		if boxed.Matched != vect.Matched {
-			t.Errorf("sel=%v: boxed matched %d, vectorized %d", boxed.Selectivity, boxed.Matched, vect.Matched)
+		if r.Matched != want {
+			t.Errorf("sel=%v: matched %d, want %d", r.Selectivity, r.Matched, want)
 		}
-		if boxed.Rows != int64(cfg.N) || vect.Rows != int64(cfg.N) {
-			t.Errorf("sel=%v: scanned %d/%d rows, want %d", boxed.Selectivity, boxed.Rows, vect.Rows, cfg.N)
+		if r.Rows != int64(cfg.N) {
+			t.Errorf("sel=%v: scanned %d rows, want %d", r.Selectivity, r.Rows, cfg.N)
 		}
-		if boxed.Matched < prevMatched {
-			t.Errorf("matched not monotone: %d after %d", boxed.Matched, prevMatched)
+		if r.RowsPerSec <= 0 {
+			t.Errorf("sel=%v: rows/sec %v", r.Selectivity, r.RowsPerSec)
 		}
-		prevMatched = boxed.Matched
-		if vect.Speedup <= 0 {
-			t.Errorf("sel=%v: speedup %v", vect.Selectivity, vect.Speedup)
-		}
-	}
-	// At 100% selectivity every row matches.
-	last := results[len(results)-1]
-	if last.Matched != int64(cfg.N) {
-		t.Errorf("sel=100%%: matched %d, want %d", last.Matched, cfg.N)
 	}
 }

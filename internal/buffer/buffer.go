@@ -3,8 +3,10 @@
 // "transaction, lock, and memory management facilities"; the buffer pool is
 // the memory-management facility shared by every layout RodentStore renders.
 //
-// The pool caches page payloads above the pager with CLOCK (second-chance)
-// eviction, pin counts, dirty tracking and write-back. To scale with
+// The pool is a read cache: it holds page payloads above the pager with
+// CLOCK (second-chance) eviction and pin counts. Writers go to the pager
+// directly (and drop freed extents from the pool, see DropExtent), so no
+// frame is ever dirty and eviction never writes. To scale with
 // concurrent readers, frames are split into lock-striped shards keyed by a
 // hash of the PageID: each shard has its own mutex, frame array, CLOCK hand
 // and atomic hit/miss counters, so scans on different goroutines contend
@@ -44,7 +46,6 @@ type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
-	Flushes   uint64
 	Bypassed  uint64
 	Admitted  uint64
 }
@@ -53,7 +54,6 @@ type frame struct {
 	id       pager.PageID
 	data     []byte
 	pins     int
-	dirty    bool
 	refbit   bool // CLOCK second-chance bit
 	occupied bool
 	// stale marks a frame whose page was freed (DropExtent) while pinned
@@ -79,7 +79,6 @@ type shard struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	flushes   atomic.Uint64
 	bypassed  atomic.Uint64
 	admitted  atomic.Uint64
 
@@ -148,8 +147,8 @@ func (p *Pool) shardOf(id pager.PageID) *shard {
 
 // Lease pins page id and returns a zero-copy view of its cached payload,
 // reading through the pager on a miss. The returned Lease's Data slice is
-// the cached frame itself: callers that modify it must MarkDirty before
-// Release, and must not retain the slice after Release.
+// the cached frame itself: callers must not modify it, and must not retain
+// it after Release.
 //
 // A miss claims a frame and publishes it in the index (pinned, pending)
 // *before* dropping the shard lock for the disk read, so the page can
@@ -183,7 +182,7 @@ func (p *Pool) Lease(id pager.PageID) (Lease, error) {
 		// Miss: claim a frame, mark the read in flight, and do the I/O
 		// without holding the shard lock.
 		sh.misses.Add(1)
-		fi, err := sh.victim(p.file)
+		fi, err := sh.victim()
 		if err != nil {
 			sh.mu.Unlock()
 			return Lease{}, err
@@ -232,8 +231,7 @@ func (l Lease) Release() error {
 
 // Get returns the payload of page id, reading it through the pager on a
 // miss, and pins the frame. Callers must Unpin when done. The returned
-// slice is the cached frame: callers that modify it must call MarkDirty
-// before Unpin.
+// slice is the cached frame: callers must not modify it.
 func (p *Pool) Get(id pager.PageID) ([]byte, error) {
 	//lint:allow leaselease pin is transferred to the caller, who must Unpin
 	l, err := p.Lease(id)
@@ -243,49 +241,9 @@ func (p *Pool) Get(id pager.PageID) ([]byte, error) {
 	return l.data, nil
 }
 
-// GetForWrite returns a pinned, writable frame for page id without reading
-// it from disk (for freshly allocated pages). The frame starts dirty.
-func (p *Pool) GetForWrite(id pager.PageID) ([]byte, error) {
-	sh := p.shardOf(id)
-	for {
-		sh.mu.Lock()
-		if fi, ok := sh.index[id]; ok {
-			f := &sh.frames[fi]
-			if f.pending != nil {
-				ch := f.pending
-				sh.mu.Unlock()
-				<-ch // wait for the in-flight read before overwriting
-				continue
-			}
-			if f.stale {
-				sh.mu.Unlock()
-				return nil, errStaleFrame
-			}
-			f.pins++
-			f.refbit = true
-			f.dirty = true
-			data := f.data
-			sh.mu.Unlock()
-			return data, nil
-		}
-		fi, err := sh.victim(p.file)
-		if err != nil {
-			sh.mu.Unlock()
-			return nil, err
-		}
-		data := make([]byte, p.file.PayloadSize())
-		sh.frames[fi] = frame{id: id, data: data, pins: 1, dirty: true, refbit: true, occupied: true}
-		sh.index[id] = fi
-		sh.mu.Unlock()
-		return data, nil
-	}
-}
-
-// victim finds a free or evictable frame with the CLOCK policy, flushing a
-// dirty victim. Caller holds sh.mu. (The dirty flush is the one place page
-// I/O happens under a shard lock; it is rare on read-mostly paths and only
-// stalls this shard, not the pool.)
-func (sh *shard) victim(file *pager.File) (int, error) {
+// victim finds a free or evictable frame with the CLOCK policy. Caller
+// holds sh.mu.
+func (sh *shard) victim() (int, error) {
 	n := len(sh.frames)
 	for spin := 0; spin < 2*n+1; spin++ {
 		fi := sh.hand
@@ -301,32 +259,12 @@ func (sh *shard) victim(file *pager.File) (int, error) {
 			f.refbit = false
 			continue
 		}
-		if f.dirty {
-			if err := file.WritePage(f.id, f.data); err != nil {
-				return 0, err
-			}
-			sh.flushes.Add(1)
-		}
 		delete(sh.index, f.id)
 		sh.evictions.Add(1)
 		f.occupied = false
 		return fi, nil
 	}
 	return 0, fmt.Errorf("buffer: %w (%d frames)", errShardPinned, n)
-}
-
-// MarkDirty flags the page's frame as modified. The page must be resident
-// and pinned.
-func (p *Pool) MarkDirty(id pager.PageID) error {
-	sh := p.shardOf(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fi, ok := sh.index[id]
-	if !ok {
-		return fmt.Errorf("buffer: MarkDirty on non-resident page %d", id)
-	}
-	sh.frames[fi].dirty = true
-	return nil
 }
 
 // Unpin releases one pin on page id.
@@ -352,27 +290,7 @@ func (sh *shard) unpin(id pager.PageID) error {
 	return nil
 }
 
-// FlushAll writes every dirty frame back to the pager (without evicting).
-func (p *Pool) FlushAll() error {
-	for _, sh := range p.shards {
-		sh.mu.Lock()
-		for i := range sh.frames {
-			f := &sh.frames[i]
-			if f.occupied && f.dirty {
-				if err := p.file.WritePage(f.id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				f.dirty = false
-				sh.flushes.Add(1)
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return nil
-}
-
-// Invalidate drops every unpinned frame (flushing dirty ones), so the next
+// Invalidate drops every unpinned frame, so the next
 // access is a cold read. Experiments call this between queries to reproduce
 // the paper's cold-cache page counts. It fails if any frame is pinned.
 func (p *Pool) Invalidate() error {
@@ -387,13 +305,6 @@ func (p *Pool) Invalidate() error {
 				sh.mu.Unlock()
 				return fmt.Errorf("buffer: Invalidate with pinned page %d", f.id)
 			}
-			if f.dirty {
-				if err := p.file.WritePage(f.id, f.data); err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				sh.flushes.Add(1)
-			}
 			delete(sh.index, f.id)
 			f.occupied = false
 		}
@@ -406,8 +317,8 @@ func (p *Pool) Invalidate() error {
 	return nil
 }
 
-// DropExtent forgets the n pages starting at start: their frames (dirty
-// ones discarded — the pages are being freed) and their ghost entries. The
+// DropExtent forgets the n pages starting at start: their frames and their
+// ghost entries. The
 // engine calls it when it frees an extent, before the pages can be
 // reallocated and rewritten behind the pool. A frame still pinned by a
 // reader (or in flight) is marked stale instead: new accesses bypass it and
@@ -486,7 +397,6 @@ func (p *Pool) Stats() Stats {
 		s.Hits += sh.hits.Load()
 		s.Misses += sh.misses.Load()
 		s.Evictions += sh.evictions.Load()
-		s.Flushes += sh.flushes.Load()
 		s.Bypassed += sh.bypassed.Load()
 		s.Admitted += sh.admitted.Load()
 	}

@@ -61,32 +61,6 @@ func TestGetCachesPages(t *testing.T) {
 	}
 }
 
-func TestEvictionWritesBackDirty(t *testing.T) {
-	p, f, start := newPoolT(t, 2, 8)
-	// Dirty page 0.
-	d, _ := p.Get(start)
-	d[0] = 0xaa
-	p.MarkDirty(start)
-	p.Unpin(start)
-	// Touch enough pages to evict page 0 (capacity 2).
-	for i := 1; i < 6; i++ {
-		if _, err := p.Get(start + pager.PageID(i)); err != nil {
-			t.Fatal(err)
-		}
-		p.Unpin(start + pager.PageID(i))
-	}
-	if p.Resident(start) {
-		t.Fatal("page 0 should have been evicted")
-	}
-	got, err := f.ReadPage(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 0xaa {
-		t.Error("dirty page not written back on eviction")
-	}
-}
-
 func TestPinnedPagesNotEvicted(t *testing.T) {
 	p, _, start := newPoolT(t, 2, 8)
 	if _, err := p.Get(start); err != nil { // pinned, never unpinned
@@ -122,40 +96,13 @@ func TestUnpinErrors(t *testing.T) {
 	if err := p.Unpin(start); err == nil {
 		t.Error("expected error unpinning unpinned page")
 	}
-	if err := p.MarkDirty(start + 5); err == nil {
-		t.Error("expected error marking non-resident page")
-	}
-}
-
-func TestGetForWrite(t *testing.T) {
-	p, f, _ := newPoolT(t, 4, 2)
-	id, err := f.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := p.GetForWrite(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(d, "fresh page")
-	p.Unpin(id)
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.ReadPage(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:10]) != "fresh page" {
-		t.Errorf("got %q", got[:10])
-	}
 }
 
 func TestInvalidate(t *testing.T) {
 	p, f, start := newPoolT(t, 4, 4)
-	d, _ := p.Get(start)
-	d[0] = 0x55
-	p.MarkDirty(start)
+	if _, err := p.Get(start); err != nil {
+		t.Fatal(err)
+	}
 	p.Unpin(start)
 	if err := p.Invalidate(); err != nil {
 		t.Fatal(err)
@@ -163,9 +110,13 @@ func TestInvalidate(t *testing.T) {
 	if p.Resident(start) {
 		t.Error("page still resident after Invalidate")
 	}
-	got, _ := f.ReadPage(start)
-	if got[0] != 0x55 {
-		t.Error("dirty page lost by Invalidate")
+	before := f.Stats().PageReads
+	if _, err := p.Get(start); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(start)
+	if f.Stats().PageReads != before+1 {
+		t.Error("access after Invalidate should be a cold read")
 	}
 	// Invalidate with a pinned page must fail.
 	p.Get(start)
@@ -251,7 +202,7 @@ func TestDropExtentForgetsFreedPages(t *testing.T) {
 			}
 		}
 	}
-	p.shardOf(start+3).noteScanPage(f, start+3, []byte{3}) // ghost entry
+	p.shardOf(start+3).noteScanPage(start+3, []byte{3}) // ghost entry
 	p.DropExtent(start, 4)
 	for i := 0; i < 4; i++ {
 		if err := f.WritePage(start+pager.PageID(i), []byte{byte(100 + i)}); err != nil {

@@ -54,7 +54,7 @@ func (p *Pool) ReadRunInto(dst []byte, start pager.PageID, npages uint64) ([]byt
 		dst, err = p.file.ReadRunInto(dst, id, j-i)
 		for k := uint64(0); k < uint64(len(dst)-mark)/payload; k++ {
 			pg := id + pager.PageID(k)
-			p.shardOf(pg).noteScanPage(p.file, pg, dst[mark+int(uint64(k)*payload):mark+int((uint64(k)+1)*payload)])
+			p.shardOf(pg).noteScanPage(pg, dst[mark+int(uint64(k)*payload):mark+int((uint64(k)+1)*payload)])
 		}
 		if err != nil {
 			return dst, err
@@ -69,7 +69,7 @@ func (p *Pool) ReadRunInto(dst []byte, start pager.PageID, npages uint64) ([]byt
 // the ghost ring; a touch that finds the page already ghosted admits it into
 // the CLOCK ring. Pages that became resident since the gap was computed are
 // left alone.
-func (sh *shard) noteScanPage(file *pager.File, id pager.PageID, data []byte) {
+func (sh *shard) noteScanPage(id pager.PageID, data []byte) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.index[id]; ok {
@@ -80,7 +80,7 @@ func (sh *shard) noteScanPage(file *pager.File, id pager.PageID, data []byte) {
 		// not one-shot scan traffic — admit it. The ring slot it occupied
 		// becomes a harmless tombstone, overwritten as the ring rotates.
 		delete(sh.ghostIdx, id)
-		if fi, err := sh.victim(file); err == nil {
+		if fi, err := sh.victim(); err == nil {
 			buf := make([]byte, len(data))
 			copy(buf, data)
 			sh.frames[fi] = frame{id: id, data: buf, refbit: true, occupied: true}

@@ -3,11 +3,10 @@
 // by the algebra interpreter on open), rendered segment locations, grid
 // bounds and reorganization state.
 //
-// The catalog serializes to a compact binary form (see codec.go; legacy
-// JSON catalogs still load) and lives in its own page extent inside the
-// database file; pager meta slots record the extent. Updates write a fresh
-// extent before flipping the meta slots, so a crash mid-update leaves the
-// previous catalog intact.
+// The catalog serializes to a compact binary form (see codec.go) and lives
+// in its own page extent inside the database file; pager meta slots record
+// the extent. Updates write a fresh extent before flipping the meta slots,
+// so a crash mid-update leaves the previous catalog intact.
 package catalog
 
 import (

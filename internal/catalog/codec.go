@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -18,9 +17,6 @@ import (
 // faster to produce and ~4x smaller on disk.
 //
 // Format: [catMagic u8][catVersion u8][uvarint ntables][table...]
-// Legacy catalogs (JSON arrays, first byte '[') are still decoded, so files
-// written before this encoding open cleanly; the first flush rewrites them
-// in binary form.
 
 // Version 1 is the original binary layout; version 2 appends each table's
 // leveled run list (Runs) after PendingExpr. The encoder emits version 1
@@ -92,32 +88,22 @@ func encodeTablesInto(buf []byte, tables []*Table) []byte {
 	return e.buf
 }
 
-// decodeTables deserializes a catalog payload, accepting both the binary
-// format and the legacy JSON array.
+// ErrBadPayload reports a catalog payload that does not decode: a header
+// this version never writes (the JSON catalogs of early development builds
+// among them) or a truncated body.
+type ErrBadPayload struct {
+	Detail string
+}
+
+func (e *ErrBadPayload) Error() string { return "catalog: bad payload: " + e.Detail }
+
+// decodeTables deserializes a catalog payload.
 func decodeTables(buf []byte) ([]*Table, error) {
 	if len(buf) == 0 {
 		return nil, nil
 	}
-	if buf[0] == '[' {
-		var tables []*Table
-		if err := json.Unmarshal(buf, &tables); err != nil {
-			return nil, fmt.Errorf("catalog: decode legacy: %w", err)
-		}
-		// Legacy catalogs predate IndexMeta.Rows. The engine that wrote
-		// them dropped indexes on every insert, so a persisted index covers
-		// every stored row — leaving Rows at the zero value would make
-		// IndexScan treat the whole table as an unindexed suffix.
-		for _, t := range tables {
-			for i := range t.Indexes {
-				if t.Indexes[i].Rows == 0 {
-					t.Indexes[i].Rows = t.RowCount
-				}
-			}
-		}
-		return tables, nil
-	}
 	if len(buf) < 2 || buf[0] != catMagic || (buf[1] != catVersion && buf[1] != catVersionV2) {
-		return nil, fmt.Errorf("catalog: bad catalog header % x", buf[:min(len(buf), 2)])
+		return nil, &ErrBadPayload{Detail: fmt.Sprintf("header % x", buf[:min(len(buf), 2)])}
 	}
 	ver := buf[1]
 	d := &dec{buf: buf[2:]}
@@ -161,7 +147,7 @@ func decodeTables(buf []byte) ([]*Table, error) {
 		tables = append(tables, t)
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("catalog: decode: %w", d.err)
+		return nil, &ErrBadPayload{Detail: d.err.Error()}
 	}
 	return tables, nil
 }

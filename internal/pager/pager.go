@@ -53,18 +53,11 @@ const (
 	// smallest power of two that holds them plus a few free extents (see
 	// freeListCap).
 	MinPageSize = 256
-	// legacyMinPageSize is the floor Open still accepts: files created
-	// when MinPageSize was 128 may carry page sizes in [160, 256) (sizes
-	// below 160 could never persist a header and so cannot exist on disk).
-	legacyMinPageSize = 128
 	// MaxPageSize bounds how large pages may be.
 	MaxPageSize = 1 << 20
 
 	pageHeaderSize = 4 // crc32 of payload
-	// magicV1 is the original header magic: no header checksum. Files
-	// carrying it still open; the first header write upgrades them to v2.
-	magicV1 = "RDNT0001"
-	// magic is the current header magic: the header page carries a crc32 of
+	// magic is the header magic: the header page carries a crc32 of
 	// its contents in its last 4 bytes, so a torn header write is detected
 	// as corruption instead of being silently interpreted.
 	magic = "RDNT0002"
@@ -212,18 +205,14 @@ func OpenAt(fsys vfs.FS, path string) (*File, error) {
 	// Read a maximal header prefix; the true page size is in the header.
 	buf := make([]byte, MaxPageSize)
 	n, err := f.ReadAt(buf, 0)
-	if n < legacyMinPageSize && err != nil {
+	if n < MinPageSize && err != nil {
 		f.Close()
 		return nil, fmt.Errorf("pager: read header of %s: %w", path, err)
-	}
-	if string(buf[:8]) != magic && string(buf[:8]) != magicV1 {
-		f.Close()
-		return nil, fmt.Errorf("pager: %s is not a RodentStore file", path)
 	}
 	p := &File{f: f, path: path}
 	if err := p.parseHeader(buf); err != nil {
 		f.Close()
-		return nil, err
+		return nil, fmt.Errorf("pager: open %s: %w", path, err)
 	}
 	if sz, err := f.Size(); err == nil {
 		p.filePages = uint64(sz) / uint64(p.pageSize)
@@ -245,8 +234,7 @@ func OpenAt(fsys vfs.FS, path string) (*File, error) {
 // meta slots, extent count, trailing leak counter) plus 16 bytes per
 // extent, with the last 4 bytes of the page reserved for the header crc32.
 // freeLocked keeps len(p.free) within this, so writeHeader never overruns
-// the crc. (v1 files, without the reserved crc bytes, can carry one extent
-// more; parseHeader trims the overflow into the leak counter.)
+// the crc.
 func (p *File) freeListCap() int {
 	c := (p.pageSize - (len(magic) + 4 + 8 + metaSlots*8 + 4 + 8 + 4)) / 16
 	if c > maxFreeExtents {
@@ -259,8 +247,8 @@ func (p *File) freeListCap() int {
 }
 
 // header layout (after the 8-byte magic): pageSize u32, nextPage u64,
-// meta[16] u64, nfree u32, {start u64, count u64}*nfree, leaked u64, and —
-// since v2 — a crc32 of buf[:pageSize-4] in the page's last 4 bytes.
+// meta[16] u64, nfree u32, {start u64, count u64}*nfree, leaked u64, and a
+// crc32 of buf[:pageSize-4] in the page's last 4 bytes.
 // Caller holds p.mu.
 func (p *File) writeHeader() error {
 	buf := make([]byte, p.pageSize)
@@ -290,19 +278,22 @@ func (p *File) writeHeader() error {
 	return nil
 }
 
+// parseHeader validates and loads the header page. Every rejection — a
+// foreign or older magic, a page size out of range, a checksum mismatch, an
+// oversized free list — is an *ErrCorruptPage for page 0.
 func (p *File) parseHeader(buf []byte) error {
-	v1 := string(buf[:8]) == magicV1
+	if string(buf[:8]) != magic {
+		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("magic %q is not %q (not a RodentStore file of this format)", buf[:8], magic)}
+	}
 	off := 8
 	p.pageSize = int(binary.LittleEndian.Uint32(buf[off:]))
 	off += 4
-	if p.pageSize < legacyMinPageSize || p.pageSize > MaxPageSize {
+	if p.pageSize < MinPageSize || p.pageSize > MaxPageSize {
 		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("header page size %d", p.pageSize)}
 	}
-	if !v1 {
-		want := binary.LittleEndian.Uint32(buf[p.pageSize-4:])
-		if got := crc32.ChecksumIEEE(buf[:p.pageSize-4]); got != want {
-			return &ErrCorruptPage{Page: 0, Detail: "header checksum mismatch"}
-		}
+	want := binary.LittleEndian.Uint32(buf[p.pageSize-4:])
+	if got := crc32.ChecksumIEEE(buf[:p.pageSize-4]); got != want {
+		return &ErrCorruptPage{Page: 0, Detail: "header checksum mismatch"}
 	}
 	p.nextPage.Store(binary.LittleEndian.Uint64(buf[off:]))
 	off += 8
@@ -312,11 +303,7 @@ func (p *File) parseHeader(buf []byte) error {
 	}
 	nfree := binary.LittleEndian.Uint32(buf[off:])
 	off += 4
-	limit := p.freeListCap()
-	if v1 {
-		limit++ // v1 had no reserved crc bytes: one extra extent could fit
-	}
-	if int(nfree) > limit {
+	if int(nfree) > p.freeListCap() {
 		return &ErrCorruptPage{Page: 0, Detail: fmt.Sprintf("header lists %d free extents", nfree)}
 	}
 	p.free = make([]Extent, nfree)
@@ -327,14 +314,6 @@ func (p *File) parseHeader(buf []byte) error {
 		off += 8
 	}
 	p.stats.leakedPages.Store(binary.LittleEndian.Uint64(buf[off:]))
-	if len(p.free) > p.freeListCap() {
-		// A v1 free list one past the v2 cap: leak the overflow so the next
-		// header write (v2 format) fits.
-		for _, e := range p.free[p.freeListCap():] {
-			p.stats.leakedPages.Add(e.Count)
-		}
-		p.free = p.free[:p.freeListCap()]
-	}
 	return nil
 }
 
@@ -348,9 +327,6 @@ func (p *File) CheckHeader() error {
 	p.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("pager: read header: %w", err)
-	}
-	if string(buf[:8]) != magic && string(buf[:8]) != magicV1 {
-		return &ErrCorruptPage{Page: 0, Detail: "bad magic"}
 	}
 	check := &File{path: p.path}
 	return check.parseHeader(buf)

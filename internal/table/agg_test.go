@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -87,152 +86,12 @@ func aggSpecs() []AggSpec {
 	}
 }
 
-// aggOracle computes the spec row-at-a-time over the scanned rows in stored
-// order — independent accumulation the engine variants are pinned to (float
-// sums within tolerance; everything else exact).
-func aggOracle(t *testing.T, spec AggSpec, schema *value.Schema, rows []value.Row) []value.Row {
-	t.Helper()
-	type group struct {
-		key  value.Row
-		accs []aggAcc
-	}
-	var exec []aggItemExec
-	for _, it := range spec.Items {
-		ie := aggItemExec{fn: it.Func, expr: it.Expr, kind: value.Int}
-		if it.Expr != nil {
-			k, err := algebra.ExprType(it.Expr, schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ie.kind = k
-		}
-		exec = append(exec, ie)
-	}
-	keyIdx := make([]int, len(spec.GroupBy))
-	for i, f := range spec.GroupBy {
-		keyIdx[i] = schema.Index(f)
-	}
-	groups := make(map[string]*group)
-	var order []string
-	keyOf := func(row value.Row) (string, value.Row) {
-		var sb strings.Builder
-		key := make(value.Row, len(keyIdx))
-		for i, ki := range keyIdx {
-			v := row[ki]
-			key[i] = v
-			// Canonicalize float keys so -0 == +0 and NaN == NaN, matching
-			// value.Equal.
-			if v.Kind() == value.Float {
-				f := v.Float()
-				switch {
-				case f == 0:
-					sb.WriteString("f:0")
-				case math.IsNaN(f):
-					sb.WriteString("f:NaN")
-				default:
-					fmt.Fprintf(&sb, "f:%x", math.Float64bits(f))
-				}
-			} else {
-				sb.WriteString(v.Kind().String())
-				sb.WriteByte(':')
-				sb.WriteString(v.String())
-			}
-			sb.WriteByte('|')
-		}
-		return sb.String(), key
-	}
-	for _, row := range rows {
-		k, key := keyOf(row)
-		g := groups[k]
-		if g == nil {
-			g = &group{key: key, accs: make([]aggAcc, len(exec))}
-			for i := range g.accs {
-				g.accs[i].grow(&exec[i], 1)
-			}
-			groups[k] = g
-			order = append(order, k)
-		}
-		for ii := range exec {
-			it := &exec[ii]
-			acc := &g.accs[ii]
-			if it.expr == nil {
-				acc.count[0]++
-				continue
-			}
-			v, err := algebra.EvalScalar(it.expr, schema, row)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v.IsNull() {
-				continue
-			}
-			switch it.fn {
-			case AggCount:
-				acc.count[0]++
-			case AggSum, AggAvg:
-				if it.kind == value.Float {
-					acc.sumF[0] += v.Float()
-				} else {
-					acc.sumI[0] += v.Int()
-				}
-				acc.count[0]++
-			case AggMin, AggMax:
-				if it.kind == value.Float {
-					acc.foldMinMaxF(0, v.Float(), v.Float(), 1)
-				} else {
-					acc.foldMinMaxI(0, v.Int(), v.Int(), 1)
-				}
-			}
-		}
-	}
-	if len(keyIdx) == 0 && len(order) == 0 {
-		g := &group{accs: make([]aggAcc, len(exec))}
-		for i := range g.accs {
-			g.accs[i].grow(&exec[i], 1)
-		}
-		groups[""] = g
-		order = append(order, "")
-	}
-	var out []value.Row
-	for _, k := range order {
-		g := groups[k]
-		row := make(value.Row, len(keyIdx)+len(exec))
-		copy(row, g.key)
-		for ii := range exec {
-			row[len(keyIdx)+ii] = exec[ii].finalize(&g.accs[ii], 0)
-		}
-		out = append(out, row)
-	}
-	if len(keyIdx) > 0 {
-		keys := make([]int, len(keyIdx))
-		for i := range keys {
-			keys[i] = i
-		}
-		value.SortRows(out, keys, nil)
-	}
-	return out
-}
-
-// approxEqual compares oracle cells: exact under value.Equal, or within
-// relative tolerance for floats (float sums reduce in a different
-// association in the block-partial executors than in the row-order oracle).
-func approxEqual(a, b value.Value) bool {
-	if value.Equal(a, b) {
-		return true
-	}
-	if a.Kind() != value.Float || b.Kind() != value.Float {
-		return false
-	}
-	af, bf := a.Float(), b.Float()
-	tol := 1e-9 * math.Max(1, math.Max(math.Abs(af), math.Abs(bf)))
-	return math.Abs(af-bf) <= tol
-}
-
 // TestAggregateDifferential pins every aggregate kernel and typed
-// expression to the boxed row oracle across serial/parallel ×
-// vectorized/NoVectorize × zone-prune on/off. All engine variants must be
-// bit-identical to each other (the block-partial merge order guarantees
-// it, floats included) and match the independent row-order oracle.
+// expression to the reference evaluator (per-block partials folded with
+// EvalScalar, merged in block order) across serial/parallel × zone-prune
+// on/off × coalesce/prefetch/quarantine. Every variant must be bit-identical
+// to the oracle, floats included: the block-partial merge order guarantees
+// it.
 func TestAggregateDifferential(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	rows := aggRows(r, 3000)
@@ -261,57 +120,21 @@ func TestAggregateDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			for pi, pred := range preds {
-				// The oracle input: matching rows in stored order.
-				plain, err := e.Scan("T", ScanOptions{Pred: pred})
-				if err != nil {
-					t.Fatal(err)
-				}
-				input := drain(t, plain)
-				plain.Close()
 				for si, spec := range aggSpecs() {
 					spec := spec
-					want := aggOracle(t, spec, aggSchema(), input)
-					var exact []value.Row // first variant's rows: all others must match bit-for-bit
-					for _, v := range []struct {
-						name string
-						opts ScanOptions
-					}{
-						{"vec-serial", ScanOptions{Pred: pred, Aggregate: &spec}},
-						{"boxed-serial", ScanOptions{Pred: pred, Aggregate: &spec, NoVectorize: true}},
-						{"vec-parallel", ScanOptions{Pred: pred, Aggregate: &spec, Parallel: true, Workers: 4}},
-						{"boxed-parallel", ScanOptions{Pred: pred, Aggregate: &spec, Parallel: true, Workers: 4, NoVectorize: true}},
-						{"vec-serial-nozone", ScanOptions{Pred: pred, Aggregate: &spec, NoZonePrune: true}},
-						{"boxed-parallel-nozone", ScanOptions{Pred: pred, Aggregate: &spec, NoZonePrune: true, Parallel: true, Workers: 3, NoVectorize: true}},
-					} {
+					base := ScanOptions{Pred: pred, Aggregate: &spec}
+					want := oracleScan(t, e, "T", base)
+					variants := scanVariants(base)
+					nozone := base
+					nozone.NoZonePrune = true
+					variants = append(variants, scanVariants(nozone)[0], scanVariants(nozone)[3])
+					for vi, v := range variants {
 						cur, err := e.Scan("T", v.opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						got := drain(t, cur)
+						requireRows(t, fmt.Sprintf("pred %d spec %d variant %d (%s)", pi, si, vi, v.name), drain(t, cur), want)
 						cur.Close()
-						if len(got) != len(want) {
-							t.Fatalf("pred %d spec %d %s: %d groups, oracle %d", pi, si, v.name, len(got), len(want))
-						}
-						for i := range want {
-							for c := range want[i] {
-								if !approxEqual(got[i][c], want[i][c]) {
-									t.Fatalf("pred %d spec %d %s group %d col %d: %v, oracle %v",
-										pi, si, v.name, i, c, got[i][c], want[i][c])
-								}
-							}
-						}
-						if exact == nil {
-							exact = got
-							continue
-						}
-						for i := range exact {
-							for c := range exact[i] {
-								if !value.Equal(got[i][c], exact[i][c]) {
-									t.Fatalf("pred %d spec %d %s group %d col %d: %v, first variant %v (executor variants must be bit-identical)",
-										pi, si, v.name, i, c, got[i][c], exact[i][c])
-								}
-							}
-						}
 					}
 				}
 			}

@@ -3,11 +3,11 @@ package table
 // Differential property test for leveled run storage: a multi-level table
 // (main rendering + several organized runs + leftover tails) must be
 // value-identical to the same rows held in one compacted rendering, under
-// every layout × predicate × executor variant. The oracle is the boxed
-// serial scan of the single-rendering table; the subject is every
-// combination of {serial, parallel} × {vectorized, boxed} × {zone prune
-// on/off} × {quarantine on/off} over the leveled table. Quarantine on clean
-// data must be a no-op (damage paths are covered by the fault tests).
+// every layout × predicate × executor variant. The oracle is the reference
+// evaluator (scan_oracle_test.go) over the single-rendering table; the
+// subject is every combination of {serial, parallel} × {zone prune on/off}
+// × {quarantine on/off} over the leveled table. Quarantine on clean data
+// must be a no-op (damage paths are covered by the fault tests).
 
 import (
 	"fmt"
@@ -87,19 +87,14 @@ func TestCompactDifferentialOracle(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				cur, err := oracle.Scan("Traces", ScanOptions{Pred: pred, NoVectorize: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := sortedKeys(drain(t, cur))
+				want := sortedKeys(oracleScan(t, oracle, "Traces", ScanOptions{Pred: pred}))
 
-				for variant := 0; variant < 16; variant++ {
+				for variant := 0; variant < 8; variant++ {
 					opts := ScanOptions{
 						Pred:        pred,
 						Parallel:    variant&1 != 0,
-						NoVectorize: variant&2 != 0,
-						NoZonePrune: variant&4 != 0,
-						Quarantine:  variant&8 != 0,
+						NoZonePrune: variant&2 != 0,
+						Quarantine:  variant&4 != 0,
 					}
 					cur, err := subj.Scan("Traces", opts)
 					if err != nil {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"rodentstore/internal/algebra"
@@ -10,6 +11,7 @@ import (
 	"rodentstore/internal/pager"
 	"rodentstore/internal/txn"
 	"rodentstore/internal/value"
+	"rodentstore/internal/vec"
 )
 
 // Secondary B+tree indexes (paper §1: "RodentStore will include both
@@ -151,16 +153,18 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		if !ok {
 			return fmt.Errorf("table: predicate does not constrain indexed field %q", indexField)
 		}
+		stored, err := storedSchema(tab)
+		if err != nil {
+			return err
+		}
+		fi := stored.Index(indexField)
+		if fi < 0 {
+			return fmt.Errorf("table: indexed field %q is not stored", indexField)
+		}
+		kind := stored.Fields[fi].Type
 		tree := btree.Open(e.file, root)
-		var loKey, hiKey []byte
-		if !lo.IsNull() {
-			loKey = btree.EncodeKey(lo)
-		}
-		if !hi.IsNull() {
-			hiKey = btree.EncodeKey(hi)
-		}
 		var positions []int64
-		err = tree.Range(loKey, hiKey, func(key []byte, v uint64) bool {
+		err = tree.Range(indexKey(lo, kind, false), indexKey(hi, kind, true), func(key []byte, v uint64) bool {
 			positions = append(positions, int64(v))
 			return true
 		})
@@ -187,10 +191,6 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		// Fetch the raw rows at those positions (no predicate: filtering
 		// would compact block offsets and break the position mapping), then
 		// post-filter and project.
-		stored, err := storedSchema(tab)
-		if err != nil {
-			return err
-		}
 		outFields := fields
 		if outFields == nil {
 			outFields = stored.Names()
@@ -212,7 +212,8 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		if err != nil {
 			return err
 		}
-		rows, err := raw.fetchPositions(positions)
+		defer raw.Close()
+		b, err := raw.fetchPositions(positions)
 		if err != nil {
 			return err
 		}
@@ -220,18 +221,20 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 		if err != nil {
 			return err
 		}
-		var final []value.Row
-		for _, r := range rows {
-			if !pred.Eval(raw.schema, r) {
-				continue
-			}
-			pr := make(value.Row, len(outIdx))
-			for i, c := range outIdx {
-				pr[i] = r[c]
-			}
-			final = append(final, pr)
+		filter, err := algebra.CompilePred(pred, raw.schema)
+		if err != nil {
+			return err
 		}
-		cur = &Cursor{schema: outSchema, sorted: final}
+		sel := filter.Filter(b, vec.FillSel(nil, b.Len()))
+		final := vec.NewBatch(outSchema)
+		for i, c := range outIdx {
+			final.Cols[i].AppendSel(&b.Cols[c], sel)
+		}
+		if err := final.SetLen(len(sel)); err != nil {
+			return err
+		}
+		cur = &Cursor{schema: outSchema}
+		cur.finish(final)
 		return nil
 	})
 	if err != nil {
@@ -240,38 +243,66 @@ func (e *Engine) IndexScan(tableName string, fields []string, pred algebra.Predi
 	return cur, nil
 }
 
-// fetchPositions materializes the rows at the given stored positions
-// (ascending), reading each containing block once. The cursor must have
-// been built without pruning-affecting state consumed.
-func (c *Cursor) fetchPositions(positions []int64) ([]value.Row, error) {
-	if len(c.parts) == 0 {
-		return nil, nil
+// indexKey encodes a range bound (nil: unbounded) in the indexed field's
+// kind, so a cross-numeric literal — a float bound on an int field, or the
+// reverse — is compared against keys of the same encoding. A fractional
+// bound widens to the enclosing integer; the predicate post-filter rejects
+// the extra candidates.
+func indexKey(v value.Value, kind value.Kind, upper bool) []byte {
+	switch {
+	case v.IsNull():
+		return nil
+	case kind == value.Int && v.Kind() == value.Float:
+		f := math.Floor(v.Float())
+		if upper {
+			f = math.Ceil(v.Float())
+		}
+		switch {
+		case math.IsNaN(f), !upper && f < math.MinInt64, upper && f >= math.MaxInt64:
+			return nil
+		case f >= math.MaxInt64:
+			v = value.NewInt(math.MaxInt64)
+		case f < math.MinInt64:
+			v = value.NewInt(math.MinInt64)
+		default:
+			v = value.NewInt(int64(f))
+		}
+	case kind == value.Float && v.Kind() == value.Int:
+		v = value.NewFloat(float64(v.Int()))
 	}
-	var out []value.Row
-	pi := 0
-	// Walk blocks in order, draining positions that fall inside each.
+	return btree.EncodeKey(v)
+}
+
+// fetchPositions gathers the rows at the given stored positions (ascending)
+// into one batch, decoding each containing block once. The cursor must be a
+// fresh, unfiltered serial scan.
+func (c *Cursor) fetchPositions(positions []int64) (*vec.Batch, error) {
+	out := vec.NewBatch(c.schema)
+	n, pi := 0, 0
 	var before int64
-	for _, ref := range c.blocks {
-		bm := c.parts[ref.part].entries[firstReadSeg(c.parts[ref.part])].Meta.Blocks[ref.block]
-		blockLo, blockHi := before, before+int64(bm.Rows)
-		before = blockHi
+	var sel []int32
+	for bi, ref := range c.blocks {
 		if pi >= len(positions) {
 			break
 		}
-		if positions[pi] >= blockHi {
+		blockLo := before
+		before += int64(blockRowCount(c.ex.parts[ref.part], ref.block))
+		if positions[pi] >= before {
 			continue
 		}
-		// Decode this block once and pick the requested offsets.
-		if err := c.loadBlock(ref); err != nil {
+		if err := c.load(bi); err != nil {
 			return nil, err
 		}
-		for pi < len(positions) && positions[pi] < blockHi {
-			off := int(positions[pi] - blockLo)
-			if row, ok := c.blockRow(off); ok {
-				out = append(out, row)
+		sel = sel[:0]
+		for ; pi < len(positions) && positions[pi] < before; pi++ {
+			if off := positions[pi] - blockLo; off < int64(c.batch.Len()) {
+				sel = append(sel, int32(off))
 			}
-			pi++
 		}
+		for ci := range out.Cols {
+			out.Cols[ci].AppendSel(&c.batch.Cols[ci], sel)
+		}
+		n += len(sel)
 	}
-	return out, nil
+	return out, out.SetLen(n)
 }

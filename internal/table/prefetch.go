@@ -251,7 +251,8 @@ func (pf *prefetcher) close() {
 // runLoader drives one scan goroutine's I/O pipeline: it plans runs over the
 // goroutine's block sequence, keeps the current run's bytes adopted in the
 // goroutine's readers, and (with prefetch) keeps the next run's fetch in
-// flight. The serial cursor owns one; each parallel worker owns its own.
+// flight. Each blockExec that coalesces owns one: the serial cursor's, and
+// each parallel worker's.
 type runLoader struct {
 	parts []*part
 	pf    *prefetcher // nil: synchronous coalescing only

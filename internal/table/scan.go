@@ -41,11 +41,6 @@ type ScanOptions struct {
 	// Workers bounds the parallel worker pool (0 = GOMAXPROCS). Ignored
 	// unless Parallel is set.
 	Workers int
-	// NoVectorize forces the boxed row-at-a-time block path instead of the
-	// vectorized (typed column batch) executor. Results are identical; the
-	// flag exists for differential tests and as the Ext-11 benchmark
-	// baseline.
-	NoVectorize bool
 	// Coalesce turns on coalesced run reads: physically adjacent blocks are
 	// fetched with one large positional read per segment instead of one
 	// range read per block (see prefetch.go). Results are identical; the
@@ -66,8 +61,8 @@ type ScanOptions struct {
 	// cursor yields one row per group instead of the matching rows, and no
 	// input row is ever materialized — blocks fold straight into typed
 	// accumulators. Mutually exclusive with Fields and Order (groups are
-	// always sorted by key). Results are bit-identical across
-	// serial/parallel and vectorized/NoVectorize executors.
+	// always sorted by key). Results are bit-identical across serial and
+	// parallel scans.
 	Aggregate *AggSpec
 }
 
@@ -105,9 +100,11 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 			return nil
 		}
 		so := storedScanOpts{
-			noZone: opts.NoZonePrune, noVec: opts.NoVectorize, quarantine: opts.Quarantine,
+			noZone: opts.NoZonePrune, quarantine: opts.Quarantine, agg: opts.Aggregate,
+			parallel: opts.Parallel, workers: opts.Workers,
 			io: scanIO{coalesce: opts.Coalesce || opts.Prefetch, prefetch: opts.Prefetch},
 		}
+		fields := opts.Fields
 		if opts.Aggregate != nil {
 			if len(opts.Fields) > 0 {
 				return fmt.Errorf("table: Aggregate and Fields are mutually exclusive (group keys and aggregates define the output)")
@@ -115,7 +112,7 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 			if len(opts.Order) > 0 {
 				return fmt.Errorf("table: Aggregate and Order are mutually exclusive (groups are sorted by key)")
 			}
-			fields := opts.Aggregate.ScanFields()
+			fields = opts.Aggregate.ScanFields()
 			if len(fields) == 0 {
 				// A bare count(*) reads no input columns, but the scan still
 				// needs a non-nil projection (nil means "all stored fields")
@@ -135,36 +132,21 @@ func (e *Engine) Scan(name string, opts ScanOptions) (*Cursor, error) {
 					}
 				}
 			}
-			cur, err = e.scanStoredOpts(tab, fields, opts.Pred, so)
-			if err != nil {
-				return err
-			}
-			cur.agg, err = buildAggExec(opts.Aggregate, cur.decoded, opts.Pred, opts.NoVectorize)
-			if err != nil {
-				return err
-			}
-			if opts.Parallel {
-				cur.startParallel(opts.Workers)
-			}
-			cur.setupScanIO()
-			if err := cur.runAggregate(); err != nil {
-				cur.Close()
-				return err
-			}
-			return nil
 		}
-		cur, err = e.scanStoredOpts(tab, opts.Fields, opts.Pred, so)
+		cur, err = e.scanStoredOpts(tab, fields, opts.Pred, so)
 		if err != nil {
 			return err
 		}
-		if opts.Parallel {
-			cur.startParallel(opts.Workers)
+		switch {
+		case opts.Aggregate != nil:
+			err = cur.runAggregate()
+		case len(opts.Order) > 0 && !e.orderMatchesStored(tab, opts.Order):
+			err = cur.materializeSort(opts.Order)
 		}
-		cur.setupScanIO()
-		if len(opts.Order) > 0 && !e.orderMatchesStored(tab, opts.Order) {
-			return cur.materializeSort(opts.Order)
+		if err != nil {
+			cur.Close()
 		}
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -341,74 +323,33 @@ var batchPool = vec.NewPool()
 // for concurrent use (the parallel scanner parallelizes *inside* one
 // cursor; concurrent queries each open their own).
 //
-// Two block executors live behind the cursor. The default vectorized path
-// decodes blocks into typed column batches (internal/vec), filters with a
-// compiled predicate over a selection vector, and late-materializes only
-// the projected columns of surviving rows; NextBatch exposes those batches
-// directly, and Next boxes one row at a time out of the current batch. The
-// boxed path (ScanOptions.NoVectorize) is the original row-at-a-time loop,
-// kept as the differential-test oracle and benchmark baseline. Both paths
-// issue identical page reads in identical order, so the paper-figure
-// page/seek accounting does not depend on the executor.
+// One block executor (blockExec) sits behind every cursor: it decodes a
+// block into typed column batches (internal/vec), filters with a compiled
+// predicate over a selection vector, and late-materializes only the
+// projected columns of surviving rows (or folds them into aggregate
+// partials). A serial scan calls it inline, block by block; a parallel scan
+// runs one per morsel worker. The cursor holds one batch at a time:
+// NextBatch hands it out, Next boxes one row of it. Materialized results —
+// re-sorted scans, aggregates, index scans — are one final batch.
 type Cursor struct {
-	schema   *value.Schema // output schema (projection applied)
-	decoded  *value.Schema // decoded schema (projection ∪ predicate fields)
-	outIdx   []int         // positions of output fields within decoded rows
-	identity bool          // outIdx is the identity over decoded
-	pred     algebra.Predicate
-	// filter is the compiled vectorized predicate; nil selects the boxed
-	// row-at-a-time path.
-	filter    *algebra.CompiledPred
-	parts     []*part
+	schema    *value.Schema // output schema (projection or aggregate applied)
+	pred      algebra.Predicate
 	blocks    []blockRef
 	cur       int
-	buf       []value.Row
-	bufPos    int
-	batch     *vec.Batch // current block's batch (vectorized path)
+	batch     *vec.Batch // current block's rows (or the materialized result)
 	batchPos  int
-	vs        vecScratch // reusable vectorized-decode scratch (serial path)
-	dec       rowDecoder // reusable boxed-decode scratch (serial path)
 	exhausted bool
+	// ex is the serial executor, on the cursor's own readers; it also holds
+	// the block step the parallel workers copy.
+	ex blockExec
 	// par, when non-nil, replaces the serial block loop with the ordered
 	// parallel pipeline.
 	par *parallelScan
-	// sorted, when non-nil, replaces streaming (materialized order-by, and
-	// the result rows of an aggregation).
-	sorted    []value.Row
-	sortedPos int
-	// agg, when non-nil, turns the scan into an aggregation: blocks fold
-	// into typed accumulators (runAggregate) instead of materializing.
-	agg *aggExec
-	// quar, when non-nil, enables corruption quarantine: unreadable blocks
-	// are recorded here and skipped instead of failing the scan.
-	quar *quarState
-	// io are the scan I/O pipeline knobs; rl, when non-nil, drives the serial
-	// path's coalesced/prefetched run reads (parallel workers own their own
-	// loaders). See prefetch.go.
-	io scanIO
-	rl *runLoader
-}
-
-// setupScanIO arms the serial scan I/O pipeline after the executor choice is
-// settled: the parallel pipeline gives each worker its own loader instead,
-// and a scan with no blocks has nothing to coalesce.
-func (c *Cursor) setupScanIO() {
-	if !c.io.coalesce || c.par != nil || len(c.blocks) == 0 || c.rl != nil {
-		return
-	}
-	rl := newRunLoader(c.parts, c.io.prefetch)
-	rl.setSeq(c.blocks)
-	c.rl = rl
-	if rl.pf != nil {
-		// Like the parallel pipeline: an abandoned cursor must not leave the
-		// prefetch goroutine parked forever. Close still joins it first.
-		runtime.AddCleanup(c, func(pf *prefetcher) { pf.close() }, rl.pf)
-	}
 }
 
 // Report returns what a quarantined scan has skipped so far. Complete only
 // after the cursor is exhausted; always empty without ScanOptions.Quarantine.
-func (c *Cursor) Report() ScanReport { return c.quar.report() }
+func (c *Cursor) Report() ScanReport { return c.ex.quar.report() }
 
 // Schema returns the cursor's output schema.
 func (c *Cursor) Schema() *value.Schema { return c.schema }
@@ -420,40 +361,25 @@ func (c *Cursor) Close() {
 	if c.par != nil {
 		c.par.shutdown()
 	}
-	if c.rl != nil {
-		c.rl.close()
-		c.rl = nil
+	if c.ex.rl != nil {
+		c.ex.rl.close()
+		c.ex.rl = nil
 	}
 	c.exhausted = true
-	c.buf = nil
-	c.sorted = nil
 	batchPool.Put(c.batch)
 	c.batch = nil
 }
 
 // Next returns the next row, reporting ok=false at the end (paper §4.1).
 func (c *Cursor) Next() (value.Row, bool, error) {
-	if c.sorted != nil {
-		if c.sortedPos >= len(c.sorted) {
-			return nil, false, nil
-		}
-		r := c.sorted[c.sortedPos]
-		c.sortedPos++
-		return r, true, nil
-	}
 	for {
-		if c.exhausted {
-			return nil, false, nil
-		}
-		if c.bufPos < len(c.buf) {
-			r := c.buf[c.bufPos]
-			c.bufPos++
-			return r, true, nil
-		}
 		if c.batch != nil && c.batchPos < c.batch.Len() {
 			r := c.batch.Row(c.batchPos)
 			c.batchPos++
 			return r, true, nil
+		}
+		if c.exhausted {
+			return nil, false, nil
 		}
 		if err := c.advance(); err != nil {
 			return nil, false, err
@@ -467,48 +393,24 @@ func (c *Cursor) Next() (value.Row, bool, error) {
 // returned batch (and any slices taken from it) is valid only until the
 // next Next/NextBatch/Close call — copy out what must survive. Mixing Next
 // and NextBatch is allowed; NextBatch first drains whatever Next has not
-// consumed of the current block.
+// consumed of the current batch.
 func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
-	if c.sorted != nil {
-		if c.sortedPos >= len(c.sorted) {
-			return nil, false, nil
-		}
-		b, err := vec.FromRows(c.schema, c.sorted[c.sortedPos:])
-		c.sortedPos = len(c.sorted)
-		if err != nil {
-			return nil, false, err
-		}
-		return b, true, nil
-	}
 	for {
+		if c.batch != nil && c.batchPos < c.batch.Len() {
+			b, n := c.batch, c.batch.Len()
+			if c.batchPos > 0 {
+				// Next consumed a prefix; hand out a copy of the remainder.
+				rest := make([]int32, 0, n-c.batchPos)
+				for i := c.batchPos; i < n; i++ {
+					rest = append(rest, int32(i))
+				}
+				b = b.Take(rest)
+			}
+			c.batchPos = n
+			return b, true, nil
+		}
 		if c.exhausted {
 			return nil, false, nil
-		}
-		if c.bufPos < len(c.buf) {
-			b, err := vec.FromRows(c.schema, c.buf[c.bufPos:])
-			c.bufPos = len(c.buf)
-			if err != nil {
-				return nil, false, err
-			}
-			return b, true, nil
-		}
-		if c.batch != nil && c.batchPos < c.batch.Len() {
-			if c.batchPos == 0 {
-				b := c.batch
-				c.batchPos = b.Len()
-				return b, true, nil
-			}
-			// Next consumed a prefix; hand out the boxed remainder.
-			rem := make([]value.Row, 0, c.batch.Len()-c.batchPos)
-			for i := c.batchPos; i < c.batch.Len(); i++ {
-				rem = append(rem, c.batch.Row(i))
-			}
-			c.batchPos = c.batch.Len()
-			b, err := vec.FromRows(c.batch.Schema(), rem)
-			if err != nil {
-				return nil, false, err
-			}
-			return b, true, nil
 		}
 		if err := c.advance(); err != nil {
 			return nil, false, err
@@ -516,100 +418,50 @@ func (c *Cursor) NextBatch() (*vec.Batch, bool, error) {
 	}
 }
 
-// advance fetches the next block's rows into c.buf or c.batch, marking the
-// cursor exhausted at the end of the block list (or parallel stream).
+// advance installs the next block's batch, marking the cursor exhausted at
+// the end of the block list (or parallel stream). A quarantined block
+// installs no batch, so Next's loop re-advances past it.
 func (c *Cursor) advance() error {
+	res, ok, err := c.nextResult()
+	if err != nil || !ok {
+		c.exhausted = true
+		return err
+	}
+	batchPool.Put(c.batch)
+	c.batch, c.batchPos = res.batch, 0
+	return nil
+}
+
+// nextResult runs the next block through the executor, in stored order:
+// inline on the serial path, from the ordered merge on the parallel one.
+func (c *Cursor) nextResult() (blockResult, bool, error) {
 	if c.par != nil {
-		res, ok, err := c.par.next()
-		if err != nil {
-			c.exhausted = true
-			return err
-		}
-		if !ok {
-			c.exhausted = true
-			return nil
-		}
-		if res.skipped {
-			return nil // quarantined block: Next's loop re-advances
-		}
-		if res.batch != nil {
-			batchPool.Put(c.batch)
-			c.batch, c.batchPos = res.batch, 0
-		} else {
-			c.buf, c.bufPos = res.rows, 0
-		}
-		return nil
+		return c.par.next()
 	}
 	if c.cur >= len(c.blocks) {
-		c.exhausted = true
-		return nil
+		return blockResult{}, false, nil
 	}
-	ref := c.blocks[c.cur]
-	if err := c.loadBlock(ref); err != nil {
-		if c.quar == nil {
-			return err
-		}
-		// Quarantine: retry transient errors, then skip the block. The
-		// cursor's buf/batch are already exhausted (advance only runs then),
-		// so leaving them untouched makes Next's loop re-advance past it.
-		if _, qerr := c.quar.handle(c.parts[ref.part], ref, err, func() error {
-			return c.loadBlock(ref)
-		}); qerr != nil {
-			return qerr
-		}
+	res := c.ex.process(c.blocks[c.cur])
+	if res.err != nil {
+		return blockResult{}, false, res.err
 	}
 	c.cur++
-	return nil
+	return res, true, nil
 }
 
-// loadBlock decodes one block, filters, and projects into c.batch
-// (vectorized path) or c.buf (boxed path).
-func (c *Cursor) loadBlock(ref blockRef) error {
-	p := c.parts[ref.part]
-	if err := c.rl.ensure(ref, p.readers); err != nil {
-		return err
-	}
-	if c.filter != nil {
-		batch, err := decodeBlockVec(p, p.readers, ref.block, c.decoded, c.schema, c.filter, c.outIdx, c.identity, &c.vs)
-		if err != nil {
-			return err
-		}
-		batchPool.Put(c.batch)
-		c.batch, c.batchPos = batch, 0
-		return nil
-	}
-	rows, err := c.dec.decodeBlockRows(p, p.readers, ref.block, c.decoded, c.pred, c.outIdx, c.identity)
-	if err != nil {
-		return err
-	}
-	c.buf, c.bufPos = rows, 0
-	return nil
+// load decodes block c.blocks[bi] into c.batch (the positional paths,
+// seekRow and fetchPositions, which always run serially with the true
+// predicate, so an offset into the batch is a stored position within the
+// block).
+func (c *Cursor) load(bi int) error {
+	c.cur = bi
+	return c.advance()
 }
 
-// blockRow returns one row of the just-loaded block by in-block offset. It
-// abstracts over the batch/buf representations for the positional paths
-// (seekRow, fetchPositions), which always run with the true predicate, so
-// offset == stored position within the block.
-func (c *Cursor) blockRow(off int) (value.Row, bool) {
-	if c.batch != nil {
-		if off >= c.batch.Len() {
-			return nil, false
-		}
-		return c.batch.Row(off), true
-	}
-	if off >= len(c.buf) {
-		return nil, false
-	}
-	return c.buf[off], true
-}
-
-// skipTo positions the in-block read offset (after loadBlock).
-func (c *Cursor) skipTo(off int) {
-	if c.batch != nil {
-		c.batchPos = off
-	} else {
-		c.bufPos = off
-	}
+// finish replaces the stream with one materialized result batch.
+func (c *Cursor) finish(b *vec.Batch) {
+	batchPool.Put(c.batch)
+	c.batch, c.batchPos, c.exhausted = b, 0, true
 }
 
 // blockRowCount returns the metadata row count of one block of a part —
@@ -618,68 +470,90 @@ func blockRowCount(p *part, block int) int {
 	return p.entries[firstReadSeg(p)].Meta.Blocks[block].Rows
 }
 
-// rowDecoder is the boxed row-at-a-time block decoder. The struct holds
-// per-goroutine scratch (the per-segment column slabs) so steady-state
-// block decodes reuse buffers instead of reallocating them; the serial
-// cursor owns one and each parallel worker owns its own.
-type rowDecoder struct {
-	colsBySeg [][][]value.Value
+// blockStep is what every executor goroutine does to one block: decode
+// (decoded schema), filter, and either project to the output or fold into
+// an aggregate partial. It is immutable and shared by the serial executor
+// and the parallel workers.
+type blockStep struct {
+	parts    []*part
+	decoded  *value.Schema // projection ∪ predicate fields
+	out      *value.Schema // projected schema
+	filter   *algebra.CompiledPred
+	outIdx   []int // positions of output fields within decoded rows
+	identity bool  // outIdx is the identity over decoded
+	// agg, when non-nil, turns the step into an aggregation: blocks fold
+	// into typed partial states instead of projected batches.
+	agg *aggExec
+	// quar, when non-nil, enables corruption quarantine: unreadable blocks
+	// are recorded here and skipped instead of failing the scan.
+	quar *quarState
 }
 
-// decodeBlockRows decodes one block of a part through the given readers
-// (which must belong to the calling goroutine), filters with pred, and
-// projects to the output columns. It is the boxed core of the serial and
-// parallel block paths. The row count comes from block metadata; a decoded
-// column of any other length — including a shorter column from another
-// segment of the part — is an error, never a silent truncation.
-func (d *rowDecoder) decodeBlockRows(p *part, readers []*segment.Reader, block int, decoded *value.Schema, pred algebra.Predicate, outIdx []int, identity bool) ([]value.Row, error) {
-	// Decode needed columns from each needed segment.
-	if cap(d.colsBySeg) < len(p.entries) {
-		d.colsBySeg = make([][][]value.Value, len(p.entries))
+// blockExec is one goroutine's block executor: the block step plus that
+// goroutine's readers and reusable scratch, so steady-state blocks allocate
+// nothing beyond pooled batches. The serial cursor owns one on its own
+// readers; each parallel worker owns one on cloned readers.
+type blockExec struct {
+	blockStep
+	// clones are a worker's per-part reader clones, built on first use;
+	// nil on the serial executor, which reads through the parts' readers.
+	clones [][]*segment.Reader
+	vs     vecScratch
+	as     aggScratch
+	// rl, when non-nil, drives coalesced/prefetched run reads over this
+	// goroutine's block sequence (see prefetch.go).
+	rl *runLoader
+}
+
+// readers returns the executor's readers for part pi.
+func (x *blockExec) readers(pi int) []*segment.Reader {
+	if x.clones == nil {
+		return x.parts[pi].readers
 	}
-	colsBySeg := d.colsBySeg[:len(p.entries)]
-	nrows := blockRowCount(p, block)
-	for si, r := range readers {
-		colsBySeg[si] = nil
-		if r == nil {
-			continue
-		}
-		want := segColumns(p, si, decoded)
-		cols, err := r.ReadBlock(block, want)
-		if err != nil {
-			return nil, err
-		}
-		colsBySeg[si] = cols
-		for _, w := range want {
-			if cols[w] != nil && len(cols[w]) != nrows {
-				return nil, fmt.Errorf("table: block %d: segment %d column %d holds %d rows, block metadata says %d",
-					block, si, w, len(cols[w]), nrows)
+	if x.clones[pi] == nil {
+		rs := make([]*segment.Reader, len(x.parts[pi].readers))
+		for si, r := range x.parts[pi].readers {
+			if r != nil {
+				rs[si] = r.Clone()
 			}
 		}
+		x.clones[pi] = rs
 	}
-	rows := make([]value.Row, 0, nrows)
-	for i := 0; i < nrows; i++ {
-		row := make(value.Row, decoded.Arity())
-		for fi, f := range decoded.Fields {
-			loc := p.fieldSeg[f.Name]
-			row[fi] = colsBySeg[loc[0]][loc[1]][i]
+	return x.clones[pi]
+}
+
+// process runs one block: make its bytes resident, decode and filter (or
+// aggregate) it, and — under quarantine — retry transient errors, then
+// record the block and deliver an empty, skipped result so the scan moves
+// on.
+func (x *blockExec) process(ref blockRef) blockResult {
+	r := x.run(ref)
+	if r.err != nil && x.quar != nil {
+		skipped, qerr := x.quar.handle(x.parts[ref.part], ref, r.err, func() error {
+			r = x.run(ref)
+			return r.err
+		})
+		if skipped {
+			r = blockResult{skipped: true}
+		} else if qerr != nil {
+			r = blockResult{err: qerr}
 		}
-		if !pred.IsTrue() && !pred.Eval(decoded, row) {
-			continue
-		}
-		if identity {
-			// The decoded row already is the output row; no second
-			// allocation-and-copy.
-			rows = append(rows, row)
-			continue
-		}
-		out := make(value.Row, len(outIdx))
-		for oi, di := range outIdx {
-			out[oi] = row[di]
-		}
-		rows = append(rows, out)
 	}
-	return rows, nil
+	return r
+}
+
+// run is one attempt at a block.
+func (x *blockExec) run(ref blockRef) (r blockResult) {
+	p, readers := x.parts[ref.part], x.readers(ref.part)
+	if r.err = x.rl.ensure(ref, readers); r.err != nil {
+		return r
+	}
+	if x.agg != nil {
+		r.agg, r.err = x.agg.observeBlock(p, readers, ref.block, x.filter, &x.vs, &x.as)
+	} else {
+		r.batch, r.err = decodeBlockVec(p, readers, ref.block, x.decoded, x.out, x.filter, x.outIdx, x.identity, &x.vs)
+	}
+	return r
 }
 
 // vecScratch is one goroutine's reusable vectorized-decode state: the
@@ -813,11 +687,9 @@ func decodeBlockVec(p *part, readers []*segment.Reader, block int, decoded, outS
 	return out, nil
 }
 
-// blockResult is one decoded block (or its error) flowing through the
-// parallel pipeline: a batch on the vectorized path, boxed rows on the
-// boxed path, a partial aggregate state on the aggregation path.
+// blockResult is one processed block (or its error): a projected batch, or
+// a partial aggregate state on the aggregation path.
 type blockResult struct {
-	rows  []value.Row
 	batch *vec.Batch
 	agg   *aggState
 	err   error
@@ -956,18 +828,15 @@ func buildMorsels(blocks []blockRef, parts []*part, workers int) [][]blockRef {
 // startParallel switches the cursor to the parallel executor: workers
 // claim morsels (block ranges) off a shared queue, fetch/decode/filter (or
 // aggregate) them concurrently, and an ordered merge preserves stored
-// order. Each worker clones the part readers, so no reader state is
-// shared. Workers are capped at the morsel count — a small table or a
-// heavily zone-pruned scan spawns only as many goroutines as there is work
-// to claim, instead of idle workers contending on the merge.
-func (c *Cursor) startParallel(workers int) {
+// order. Each worker runs its own blockExec on cloned readers, so no reader
+// state is shared. Workers are capped at the morsel count — a small table
+// or a heavily zone-pruned scan spawns only as many goroutines as there is
+// work to claim, instead of idle workers contending on the merge.
+func (c *Cursor) startParallel(workers int, io scanIO) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(c.blocks) == 0 || c.par != nil {
-		return
-	}
-	morsels := buildMorsels(c.blocks, c.parts, workers)
+	morsels := buildMorsels(c.blocks, c.ex.parts, workers)
 	if workers > len(morsels) {
 		workers = len(morsels)
 	}
@@ -981,30 +850,23 @@ func (c *Cursor) startParallel(workers int) {
 		ps.results[i] = make(chan []blockResult, 1)
 	}
 	ps.wg.Add(workers)
-	// The goroutines capture copied fields, never the cursor itself: a
-	// cursor abandoned without Close must become unreachable so the cleanup
-	// below can cancel the pipeline (workers otherwise block forever on the
-	// ticket semaphore once the consumer stops releasing). Close still
-	// joins deterministically.
-	parts := c.parts
-	decoded, pred, outIdx := c.decoded, c.pred, c.outIdx
-	outSchema, filter, identity := c.schema, c.filter, c.identity
-	quar, agg, io := c.quar, c.agg, c.io
+	// The goroutines capture a copy of the block step, never the cursor
+	// itself: a cursor abandoned without Close must become unreachable so
+	// the cleanup below can cancel the pipeline (workers otherwise block
+	// forever on the ticket semaphore once the consumer stops releasing).
+	// Close still joins deterministically.
+	step := c.ex.blockStep
 	runtime.AddCleanup(c, func(ps *parallelScan) { ps.cancel() }, ps)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer ps.wg.Done()
-			// Per-worker scratch: cloned readers, decode scratch and the
-			// aggregation scratch are reused across this worker's morsels;
-			// batches come from the shared pool (the consumer recycles them).
-			cloned := make([][]*segment.Reader, len(parts))
-			var dec rowDecoder
-			var vs vecScratch
-			var as aggScratch
-			var rl *runLoader
+			// Per-worker executor: cloned readers and scratch are reused
+			// across this worker's morsels; batches come from the shared
+			// pool (the consumer recycles them).
+			x := blockExec{blockStep: step, clones: make([][]*segment.Reader, len(step.parts))}
 			if io.coalesce {
-				rl = newRunLoader(parts, io.prefetch)
-				defer rl.close()
+				x.rl = newRunLoader(step.parts, io.prefetch)
+				defer x.rl.close()
 			}
 			for {
 				// Acquire a run-ahead ticket, then claim the next morsel.
@@ -1018,8 +880,8 @@ func (c *Cursor) startParallel(workers int) {
 					return // queue drained; ticket is moot, nothing waits on it
 				}
 				res := make([]blockResult, 0, len(ps.morsels[mi]))
-				if rl != nil {
-					rl.setSeq(ps.morsels[mi])
+				if x.rl != nil {
+					x.rl.setSeq(ps.morsels[mi])
 				}
 				for _, ref := range ps.morsels[mi] {
 					select {
@@ -1030,46 +892,7 @@ func (c *Cursor) startParallel(workers int) {
 						return
 					default:
 					}
-					p := parts[ref.part]
-					if cloned[ref.part] == nil {
-						rs := make([]*segment.Reader, len(p.readers))
-						for si, r := range p.readers {
-							if r != nil {
-								rs[si] = r.Clone()
-							}
-						}
-						cloned[ref.part] = rs
-					}
-					load := func() blockResult {
-						var r blockResult
-						if r.err = rl.ensure(ref, cloned[ref.part]); r.err != nil {
-							return r
-						}
-						switch {
-						case agg != nil:
-							r.agg, r.err = agg.observeBlock(p, cloned[ref.part], ref.block, filter, &vs, &dec, &as)
-						case filter != nil:
-							r.batch, r.err = decodeBlockVec(p, cloned[ref.part], ref.block, decoded, outSchema, filter, outIdx, identity, &vs)
-						default:
-							r.rows, r.err = dec.decodeBlockRows(p, cloned[ref.part], ref.block, decoded, pred, outIdx, identity)
-						}
-						return r
-					}
-					r := load()
-					if r.err != nil && quar != nil {
-						// Quarantine in the worker: retry transient errors,
-						// then record the skip and deliver an empty result so
-						// next() does not cancel the pipeline.
-						skipped, qerr := quar.handle(p, ref, r.err, func() error {
-							r = load()
-							return r.err
-						})
-						if skipped {
-							r = blockResult{skipped: true}
-						} else if qerr != nil {
-							r = blockResult{err: qerr}
-						}
-					}
+					r := x.process(ref)
 					res = append(res, r)
 					if r.err != nil {
 						break // the consumer cancels on this; skip the rest
@@ -1082,19 +905,6 @@ func (c *Cursor) startParallel(workers int) {
 	c.par = ps
 }
 
-// segColumns lists the column indexes of segment si needed for the decoded
-// schema.
-func segColumns(p *part, si int, decoded *value.Schema) []int {
-	var out []int
-	for _, f := range decoded.Fields {
-		loc, ok := p.fieldSeg[f.Name]
-		if ok && loc[0] == si {
-			out = append(out, loc[1])
-		}
-	}
-	return out
-}
-
 // seekRow positions the cursor at global stored position pos.
 func (c *Cursor) seekRow(pos int64) error {
 	if !c.pred.IsTrue() {
@@ -1102,17 +912,15 @@ func (c *Cursor) seekRow(pos int64) error {
 	}
 	var before int64
 	for bi, ref := range c.blocks {
-		bm := c.parts[ref.part].entries[firstReadSeg(c.parts[ref.part])].Meta.Blocks[ref.block]
-		if before+int64(bm.Rows) > pos {
-			c.cur = bi
-			if err := c.loadBlock(ref); err != nil {
+		rows := int64(blockRowCount(c.ex.parts[ref.part], ref.block))
+		if before+rows > pos {
+			if err := c.load(bi); err != nil {
 				return err
 			}
-			c.cur++
-			c.skipTo(int(pos - before))
+			c.batchPos = int(pos - before)
 			return nil
 		}
-		before += int64(bm.Rows)
+		before += rows
 	}
 	return fmt.Errorf("table: position %d out of range [0,%d)", pos, before)
 }
@@ -1120,12 +928,9 @@ func (c *Cursor) seekRow(pos int64) error {
 // seekCell positions the cursor at the first block of the given grid cell.
 func (c *Cursor) seekCell(cell uint64) error {
 	for bi, ref := range c.blocks {
-		bm := c.parts[ref.part].entries[firstReadSeg(c.parts[ref.part])].Meta.Blocks[ref.block]
-		if bm.Cell == cell {
+		p := c.ex.parts[ref.part]
+		if p.entries[firstReadSeg(p)].Meta.Blocks[ref.block].Cell == cell {
 			c.cur = bi
-			c.buf, c.bufPos = nil, 0
-			batchPool.Put(c.batch)
-			c.batch, c.batchPos = nil, 0
 			return nil
 		}
 	}
@@ -1141,30 +946,35 @@ func firstReadSeg(p *part) int {
 	return 0
 }
 
-// materializeSort drains the cursor and sorts the result.
+// materializeSort drains the cursor into one batch and reorders it by the
+// requested keys (the stable order value.SortRows gives boxed rows).
 func (c *Cursor) materializeSort(order []algebra.OrderKey) error {
-	var rows []value.Row
+	keys := make([]int, len(order))
+	desc := make([]bool, len(order))
+	for i, k := range order {
+		if keys[i] = c.schema.Index(k.Field); keys[i] < 0 {
+			return fmt.Errorf("table: order field %q not in scan output", k.Field)
+		}
+		desc[i] = k.Desc
+	}
+	all := vec.NewBatch(c.schema)
 	for {
-		r, ok, err := c.Next()
+		b, ok, err := c.NextBatch()
 		if err != nil {
 			return err
 		}
 		if !ok {
 			break
 		}
-		rows = append(rows, r)
-	}
-	cols := make([]int, len(order))
-	desc := make([]bool, len(order))
-	for i, k := range order {
-		ci := c.schema.Index(k.Field)
-		if ci < 0 {
-			return fmt.Errorf("table: order field %q not in scan output", k.Field)
+		if err := all.AppendBatch(b); err != nil {
+			return err
 		}
-		cols[i], desc[i] = ci, k.Desc
 	}
-	value.SortRows(rows, cols, desc)
-	c.sorted, c.sortedPos = rows, 0
+	cols := make([]*vec.Vector, len(keys))
+	for i, k := range keys {
+		cols[i] = &all.Cols[k]
+	}
+	c.finish(all.Take(vec.SortPerm(cols, desc, all.Len())))
 	return nil
 }
 
@@ -1179,10 +989,13 @@ func boundsOf(tab *catalog.Table) []transforms.GridBounds {
 
 // storedScanOpts are the internal knobs of scanStoredOpts: raw bypasses
 // pruning (reorganization reads everything back), noZone disables zone-map
-// pruning only, noVec selects the boxed row-at-a-time executor.
+// pruning only, agg turns the block step into an aggregation, and parallel
+// runs it on a morsel worker pool instead of inline.
 type storedScanOpts struct {
-	raw, noZone, noVec, quarantine bool
-	io                             scanIO
+	raw, noZone, quarantine, parallel bool
+	workers                           int
+	agg                               *AggSpec
+	io                                scanIO
 }
 
 // scanStored builds a cursor over the stored representation. fields nil
@@ -1276,26 +1089,36 @@ func (e *Engine) scanStoredOpts(tab *catalog.Table, fields []string, pred algebr
 			break
 		}
 	}
-	var filter *algebra.CompiledPred
-	if !so.noVec {
-		filter, err = algebra.CompilePred(pred, decoded)
-		if err != nil {
+	filter, err := algebra.CompilePred(pred, decoded)
+	if err != nil {
+		return nil, err
+	}
+	step := blockStep{
+		parts: parts, decoded: decoded, out: outSchema,
+		filter: filter, outIdx: outIdx, identity: identity,
+	}
+	if so.agg != nil {
+		if step.agg, err = buildAggExec(so.agg, decoded); err != nil {
 			return nil, err
 		}
 	}
-	c := &Cursor{
-		schema:   outSchema,
-		decoded:  decoded,
-		outIdx:   outIdx,
-		identity: identity,
-		pred:     pred,
-		filter:   filter,
-		parts:    parts,
-		blocks:   blocks,
-		io:       so.io,
-	}
 	if so.quarantine {
-		c.quar = newQuarState()
+		step.quar = newQuarState()
+	}
+	c := &Cursor{schema: outSchema, pred: pred, blocks: blocks, ex: blockExec{blockStep: step}}
+	switch {
+	case len(blocks) == 0:
+	case so.parallel:
+		c.startParallel(so.workers, so.io)
+	case so.io.coalesce:
+		rl := newRunLoader(parts, so.io.prefetch)
+		rl.setSeq(blocks)
+		c.ex.rl = rl
+		if rl.pf != nil {
+			// Like the parallel pipeline: an abandoned cursor must not leave
+			// the prefetch goroutine parked forever. Close still joins it.
+			runtime.AddCleanup(c, func(pf *prefetcher) { pf.close() }, rl.pf)
+		}
 	}
 	return c, nil
 }

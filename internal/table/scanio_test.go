@@ -157,7 +157,6 @@ func TestScanCoalescedQuarantineSubRange(t *testing.T) {
 	for _, opts := range []ScanOptions{
 		{Coalesce: true},
 		{Prefetch: true},
-		{Prefetch: true, NoVectorize: true},
 		{Prefetch: true, Parallel: true, Workers: 3},
 	} {
 		got, rep := scanRows(opts)

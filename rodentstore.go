@@ -223,11 +223,6 @@ func open(file *pager.File, path string, o Options) (*DB, error) {
 // final checkpoint), then the files close.
 func (db *DB) Close() error {
 	db.eng.DisableAutoMerge()
-	if db.pool != nil {
-		if err := db.pool.FlushAll(); err != nil {
-			return err
-		}
-	}
 	if err := db.mgr.Checkpoint(); err != nil {
 		return err
 	}
